@@ -61,6 +61,7 @@ from .core import (
     geometric_checkpoints,
     partial_sums,
     read_series_csv,
+    resolve_threads,
     series_csv,
     table_csv,
     _fmt,
@@ -133,10 +134,15 @@ def parse_checkpoints(text: Optional[str], n: int):
     if text is None:
         return geometric_checkpoints(min(10, n), n)
     s = text.strip()
-    if ":" in s:
-        lo, hi = s.split(":")
-        return geometric_checkpoints(float(lo), float(hi))
-    return np.array([float(v) for v in s.split(",")])
+    try:
+        if ":" in s:
+            lo, hi = s.split(":")
+            return geometric_checkpoints(float(lo), float(hi))
+        return np.array([float(v) for v in s.split(",")])
+    except ValueError:
+        raise InvalidArgumentError(
+            f'cannot parse checkpoints {text!r}; expected "10,100" or "1e3:1e6"'
+        ) from None
 
 
 def _parse_complex(text: str) -> complex:
@@ -147,8 +153,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _sum_mode(threads: Optional[int]) -> str:
-    # both modes produce identical bits; pick the parallel path when the
-    # caller asked for workers so the flag actually exercises it
+    # both mode names run the same summation and give the same bits; the
+    # name records whether the caller asked for a worker count
     return BLOCK_PARALLEL if threads else SEQUENTIAL
 
 
@@ -615,6 +621,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _apply_config(argv)
         args = build_parser().parse_args(argv)
+        if hasattr(args, "threads"):
+            resolve_threads(args.threads)
         return args.fn(args)
     except PretenseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,6 +146,8 @@ def _verdict(slope: Optional[float]) -> str:
 def _checkpoints_for(cutoff: float, checkpoints) -> np.ndarray:
     if checkpoints is not None:
         x = np.asarray(checkpoints, dtype=np.float64)
+        if not np.all(np.isfinite(x)):
+            raise InvalidArgumentError("checkpoints must be finite")
         if x.size == 0 or np.any(np.diff(x) <= 0):
             raise InvalidArgumentError("checkpoints must be strictly increasing")
         if x[-1] > cutoff:

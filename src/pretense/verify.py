@@ -80,6 +80,9 @@ DEFAULT_SEED = 1729
 # zeta(2) frozen from an independent Euler-Maclaurin evaluation (the test
 # suite re-derives it); used as the truncation reference value
 ZETA2 = 1.6449340668482264
+# criterion 12: bound on the Euler-Maclaurin residual of L_1e5(2); the
+# first omitted term, 1/(30 N^5), is about 3e-27
+EM_RESID_MAX = 1e-12
 
 # criterion 08: growth band of the running maximum of Σ μ²(n)χ(n), 1/4 ± 0.1
 SQUAREFREE_BAND = (0.15, 0.35)
@@ -242,16 +245,21 @@ def _thm2(seed: int, threads: Optional[int]) -> List[CheckResult]:
     one5 = evaluate(standard_spec("one"), sv5)
     lt = l_truncation(one5, 2.0 + 0.0j)
     err_z = abs(lt.value - ZETA2)
+    # Euler-Maclaurin: L_N(2) = zeta(2) - 1/N + 1/(2N^2) - 1/(6N^3) + O(N^-5).
+    # err_z < 1e-5 alone passes by only 5e-11; this check implies it.
+    n = float(lt.N)
+    em_resid = abs(lt.value - (ZETA2 - 1 / n + 1 / (2 * n * n) - 1 / (6 * n**3)))
     alt = _alternating_spec()
     qh = solve_quotient(alt, standard_spec("one"), primes=(2, 3, 5), max_exponent=18)
     idc = quotient_identity_check(
         evaluate(alt, sv5), one5, evaluate(qh.spec, sv5), 3.0 + 0.0j
     )
-    ok12 = err_z < 1e-5 and bool(idc.ok)
+    ok12 = err_z < 1e-5 and em_resid <= EM_RESID_MAX and bool(idc.ok)
     out.append(CheckResult(
         "thm2", "dirichlet-series",
         ok12,
-        f"|L_1e5(2,1) - zeta(2)| = {err_z:.3e} (need < 1e-5); identity residual "
+        f"|L_1e5(2,1) - zeta(2)| = {err_z:.3e} (need < 1e-5); Euler-Maclaurin "
+        f"residual {em_resid:.3e} (need <= {EM_RESID_MAX:.0e}); identity residual "
         f"{idc.residual:.3e} vs combined bound {idc.combined_bound:.3e}",
     ))
     return out

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,3 +260,33 @@ def test_main_in_process_exit_codes(capsys):
     assert main(["sieve", "--N", "50"]) == 0
     capsys.readouterr()
     assert main(["eval", "--spec", "char:4:9", "--N", "10"]) == 1
+
+
+@pytest.mark.parametrize("cps", ["nan,5", "5,nan", "inf", "5,inf", "-inf,5"])
+def test_non_finite_checkpoints_give_one_error_line(capsys, cps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sums", "--spec", "liouville", "--N", "100", f"--checkpoints={cps}"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: checkpoints must be finite"]
+
+
+@pytest.mark.parametrize("cps", ["a,b", "1:2:3", "10,"])
+def test_unparsable_checkpoints_give_one_error_line(capsys, cps):
+    assert main(["sums", "--spec", "one", "--N", "100", f"--checkpoints={cps}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot parse checkpoints")
+
+
+def test_thread_count_errors_give_one_error_line(capsys, monkeypatch):
+    monkeypatch.delenv("PRETENSE_THREADS", raising=False)
+    for argv in (["verify", "remark1", "--threads", "0"],
+                 ["sums", "--spec", "one", "--N", "100", "--threads", "-1"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: thread count")
+    for env in ("abc", "0"):
+        monkeypatch.setenv("PRETENSE_THREADS", env)
+        assert main(["verify", "thm2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: PRETENSE_THREADS")

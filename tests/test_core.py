@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pretense import core
 from pretense.core import (
     BLOCK_PARALLEL,
     SEQUENTIAL,
@@ -138,6 +140,96 @@ def test_checkpointed_sums_against_fsum():
     assert abs(got - want) <= 1e-9 * abs(want)
 
 
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=300,
+    ),
+    st.lists(st.integers(min_value=0, max_value=300), max_size=12),
+)
+@settings(max_examples=40, deadline=None)
+def test_sums_do_not_depend_on_block_mode_or_threads(values, extra):
+    # checkpoints at 0, at every chunk edge of each block size and one term
+    # either side of it, plus drawn (possibly repeated) positions
+    terms = np.array(values, dtype=np.complex128)
+    n = terms.size
+    blocks = (1, 3, 64, core.BLOCK)
+    pos = {0, n}
+    for b in blocks:
+        for edge in range(0, n + 1, b):
+            pos.update((edge - 1, edge, edge + 1))
+    pos = np.array(sorted([p for p in pos if 0 <= p <= n] + [p for p in extra if p <= n]))
+    want = checkpointed_sums(terms, pos)
+    for b in blocks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "BLOCK", b)
+            for mode, threads in (
+                (SEQUENTIAL, None), (SEQUENTIAL, 3),
+                (BLOCK_PARALLEL, 1), (BLOCK_PARALLEL, 2), (BLOCK_PARALLEL, 7),
+            ):
+                got = checkpointed_sums(terms, pos, mode=mode, threads=threads)
+                assert got.tobytes() == want.tobytes(), (b, mode, threads)
+
+
+def _within_sum2_bound(prefixes, part) -> bool:
+    """Every prefix within 2u|fsum| + γ_n²·Σ|x_i| of math.fsum of that prefix."""
+    u = 2.0**-53
+    for p in range(1, part.size + 1):
+        exact = math.fsum(part[:p])
+        gamma = p * u / (1 - p * u)
+        bound = 2 * u * abs(exact) + gamma**2 * math.fsum(np.abs(part[:p]))
+        if abs(prefixes[p - 1] - exact) > bound:
+            return False
+    return True
+
+
+_scaled = st.builds(
+    lambda m, e: m * 2.0**e,
+    st.floats(min_value=-1, max_value=1),
+    st.integers(min_value=-40, max_value=40),
+)
+
+
+@given(
+    st.lists(st.tuples(_scaled, _scaled), min_size=1, max_size=200),
+    st.booleans(),
+    st.sampled_from((1, 3, 64, core.BLOCK)),
+)
+@settings(max_examples=60, deadline=None)
+def test_prefix_sums_within_sum2_bound_of_fsum(pairs, cancel, block):
+    vals = [complex(a, b) for a, b in pairs]
+    if cancel:  # ill-conditioned: the whole sum cancels to zero
+        vals += [-v for v in reversed(vals)]
+    terms = np.array(vals, dtype=np.complex128)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "BLOCK", block)
+        got = checkpointed_sums(terms, np.arange(terms.size + 1))
+    assert got[0] == 0
+    assert _within_sum2_bound(got.real[1:], terms.real)
+    assert _within_sum2_bound(got.imag[1:], terms.imag)
+
+
+def test_sum2_bound_rejects_plain_cumsum():
+    # 1e16 + 1 rounds back to 1e16 twice, so a plain cumsum ends at 0, not 2
+    terms = np.array([1e16, 1.0, 1.0, -1e16])
+    assert not _within_sum2_bound(np.cumsum(terms), terms)
+    got = checkpointed_sums(terms.astype(np.complex128), np.arange(1, 5))
+    assert got[-1] == 2.0
+    assert _within_sum2_bound(got.real, terms)
+
+
+def test_thread_count_validation(monkeypatch):
+    terms = np.ones(10, dtype=np.complex128)
+    for threads in (0, -2):
+        with pytest.raises(InvalidArgumentError, match="thread count"):
+            checkpointed_sums(terms, [10], mode=BLOCK_PARALLEL, threads=threads)
+    for env in ("abc", "0", "1.5"):
+        monkeypatch.setenv("PRETENSE_THREADS", env)
+        with pytest.raises(InvalidArgumentError, match="PRETENSE_THREADS"):
+            checkpointed_sums(terms, [10], mode=BLOCK_PARALLEL)
+
+
 def test_partial_sums_positions_are_term_counts(sieve_1e4):
     t = evaluate(standard_spec("one"), sieve_1e4, 100)
     s = partial_sums(t, np.array([10.0, 99.5, 100.0]))
@@ -154,6 +246,22 @@ def test_partial_sums_checkpoint_validation(sieve_1e4):
         partial_sums(t, np.array([0.5, 50.0]))
     with pytest.raises(OutOfRangeError):
         partial_sums(t, np.array([50.0, 101.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_partial_sums_rejects_non_finite_checkpoints(sieve_1e4, bad):
+    t = evaluate(standard_spec("one"), sieve_1e4, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([bad, 5.0], [5.0, bad], [bad]):
+            with pytest.raises(InvalidArgumentError, match="must be finite"):
+                partial_sums(t, np.array(x))
+
+
+def test_geometric_checkpoints_rejects_non_finite_ends():
+    for lo, hi in ((1, math.inf), (1, math.nan), (math.nan, 10)):
+        with pytest.raises(InvalidArgumentError):
+            geometric_checkpoints(lo, hi)
 
 
 @given(st.integers(min_value=2, max_value=10**6))

@@ -41,6 +41,13 @@ def test_distance_classic_against_fsum_oracle(sieve_1e4):
     assert rep.kind == "classic"
 
 
+def test_distance_rejects_non_finite_checkpoints(sieve_1e4):
+    f = standard_spec("moebius")
+    for x in ([math.nan, 5.0], [5.0, -math.inf], [10.0, math.inf]):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            distance_classic(f, f, 10**4, checkpoints=x, sieve=sieve_1e4)
+
+
 def test_distance_of_spec_with_itself_vanishes(sieve_1e4):
     f = random_spec(8, limit=10**4)
     rep = distance_classic(f, f, 10**4, sieve=sieve_1e4)
