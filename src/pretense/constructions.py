@@ -10,6 +10,7 @@ command line passes functions around.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -592,57 +593,96 @@ def spec_descriptor(spec: FunctionSpec) -> dict:
     )
 
 
+_REQUIRED = object()
+
+
+def _descriptor_field(desc: dict, key: str, conv, default=_REQUIRED):
+    """conv(desc[key]); a missing or unconvertible field names itself."""
+    kind = desc["construction"]
+    if key not in desc:
+        if default is _REQUIRED:
+            raise InvalidArgumentError(f"{kind!r} descriptor needs field {key!r}")
+        return default
+    try:
+        return conv(desc[key])
+    except PretenseError:
+        raise
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            f"{kind!r} descriptor field {key!r} is invalid: {desc[key]!r}"
+        ) from None
+
+
+def _listed(conv):
+    """conv applied to each item of a JSON list."""
+
+    def each(items):
+        if not isinstance(items, (list, tuple)):
+            raise TypeError("not a list")
+        return [conv(x) for x in items]
+
+    return each
+
+
+def _tabulated_rows(rows):
+    return {(int(p), int(k)): complex(re, im) for p, k, re, im in rows}
+
+
 def spec_from_descriptor(desc: dict) -> FunctionSpec:
-    """Rebuild a FunctionSpec from a descriptor produced by spec_descriptor."""
+    """Rebuild a FunctionSpec from a descriptor produced by spec_descriptor.
+
+    A missing or malformed field raises InvalidArgumentError naming the
+    construction and the field.
+    """
     if not isinstance(desc, dict) or "construction" not in desc:
         raise InvalidArgumentError("descriptor must be a dict with a construction key")
     kind = desc["construction"]
+    get = partial(_descriptor_field, desc)
     if kind in ("one", "delta", "moebius", "liouville"):
         return standard_spec(kind)
     if kind == "character":
-        return dirichlet_character(desc["q"], desc["index"])
+        return dirichlet_character(get("q", int), get("index", int))
     if kind == "kronecker":
-        return kronecker_character(desc["D"])
+        return kronecker_character(get("D", int))
     if kind == "archimedean-twist":
-        return archimedean_twist(desc["t"])
+        return archimedean_twist(get("t", float))
     if kind == "random":
         from .randspecs import random_spec
 
         return random_spec(
-            desc["seed"],
-            limit=desc["limit"],
-            kind=desc["kind"],
-            max_exponent=desc.get("max_exponent", 13),
+            get("seed", int),
+            limit=get("limit", int),
+            kind=get("kind", str),
+            max_exponent=get("max_exponent", int, 13),
         )
     if kind == "random-pair":
         from .randspecs import random_pair_sparse_diff
 
         f, g, _ = random_pair_sparse_diff(
-            desc["seed"], limit=desc["limit"], ndiff=desc["ndiff"]
+            get("seed", int), limit=get("limit", int), ndiff=get("ndiff", int)
         )
-        return f if desc.get("role", "f") == "f" else g
+        return f if get("role", str, "f") == "f" else g
     if kind == "sparse-dyadic":
-        return sparse_dyadic(spec_from_descriptor(desc["base"]), desc["exponents"])
+        return sparse_dyadic(
+            get("base", spec_from_descriptor), get("exponents", _listed(int))
+        )
     if kind == "optimality-twist":
         return optimality_twist(
-            spec_from_descriptor(desc["base"]),
-            desc["beta"],
-            desc.get("diagnostics_cutoff", 10**7),
+            get("base", spec_from_descriptor),
+            get("beta", float),
+            get("diagnostics_cutoff", int, 10**7),
         )
     if kind == "squarefree-restrict":
-        return squarefree_restrict(spec_from_descriptor(desc["base"]))
+        return squarefree_restrict(get("base", spec_from_descriptor))
     if kind == "degree-d":
         from .degree import degree_d_spec
 
-        return degree_d_spec(
-            [spec_from_descriptor(c) for c in desc["constituents"]]
-        )
+        return degree_d_spec(get("constituents", _listed(spec_from_descriptor)))
     if kind == "tabulated":
-        values = {(p, k): complex(re, im) for p, k, re, im in desc["values"]}
         return tabulated_spec(
-            values,
-            name=desc.get("name", "tabulated"),
-            kind=desc.get("kind", TABULATED),
-            bounded_by_one=desc.get("bounded_by_one", False),
+            get("values", _tabulated_rows),
+            name=get("name", str, "tabulated"),
+            kind=get("kind", str, TABULATED),
+            bounded_by_one=get("bounded_by_one", bool, False),
         )
     raise InvalidArgumentError(f"unknown construction {kind!r}")

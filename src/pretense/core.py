@@ -45,10 +45,12 @@ KINDS = frozenset(
 # Dense work beyond this is out of scope for a desk-scale toolkit.
 MAX_SIEVE_LIMIT = 10**8
 
-# Chunk length of the prefix summation; results do not depend on it.  Its
-# three float64 scratch buffers (3 x 128 KiB) stay in L2.  At 2^16 the kernel
-# was ~15% slower and its freed buffers stayed resident on the heap, raising
-# peak RSS by ~1 MB in a 1e7 table workload.
+# Chunk length of the prefix summation, the cofactor recurrence, the
+# composite fill of evaluate and mean_square_sum.  Only the last bits of a
+# non-integer mean square depend on it.  The summation's three float64
+# scratch buffers (3 x 128 KiB) stay in L2.  At 2^16 that kernel was ~15%
+# slower and its freed buffers stayed resident on the heap, raising peak RSS
+# by ~1 MB in a 1e7 table workload.
 BLOCK = 1 << 14
 
 UNIT_DISC_TOL = 1e-9
@@ -113,7 +115,8 @@ class SieveIndex:
 
     spf[n] is the least prime dividing n (spf[0] = spf[1] = 0), so spf[n] = n
     exactly when n is prime.  Memory: 4(N+1) bytes for spf, plus two cached
-    int32 factor arrays of the same size once a dense evaluation has run.
+    int32 factor arrays of the same size once a dense evaluation has run;
+    building them allocates no other temporary longer than BLOCK.
     """
 
     limit: int
@@ -122,23 +125,32 @@ class SieveIndex:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def power_cofactor(self):
-        """Arrays (pk, rest) with n = pk[n] * rest[n], pk[n] the full power of
-        spf[n] dividing n and gcd(spf[n], rest[n]) = 1.  Cached after first use."""
+        """int32 arrays (pk, rest) with n = pk[n] * rest[n], pk[n] the full
+        power of spf[n] dividing n and gcd(spf[n], rest[n]) = 1; both are 1 at
+        n = 0, 1.  Cached after first use.
+
+        With p = spf[n] and m = n // p: pk[n] = pk[m]·p and rest[n] = rest[m]
+        when spf[m] = p, else pk[n] = p and rest[n] = m.  As m ≤ n/2, chunks
+        (lo, min(2·lo, lo + BLOCK, N)] taken in ascending order read only
+        entries already filled, and no temporary outgrows BLOCK.
+        """
         got = self._cache.get("power_cofactor")
         if got is not None:
             return got
-        n = self.limit
-        n_arr = np.arange(n + 1, dtype=np.int64)
-        p64 = self.spf.astype(np.int64)
-        safe = np.maximum(p64, 1)
-        pk = np.where(n_arr >= 2, p64, 1)
-        rest = np.where(n_arr >= 2, n_arr // safe, 1)
-        idx = np.nonzero((n_arr >= 2) & (rest % safe == 0))[0]
-        while idx.size:
-            pk[idx] *= p64[idx]
-            rest[idx] //= p64[idx]
-            idx = idx[rest[idx] % p64[idx] == 0]
-        pair = (pk.astype(np.int32), rest.astype(np.int32))
+        n, spf = self.limit, self.spf
+        pk = np.empty(n + 1, dtype=np.int32)
+        rest = np.empty(n + 1, dtype=np.int32)
+        pk[:2] = rest[:2] = 1
+        lo = 1
+        while lo < n:
+            hi = min(2 * lo, lo + BLOCK, n)
+            p = spf[lo + 1 : hi + 1]
+            m = np.arange(lo + 1, hi + 1, dtype=np.int32) // p
+            same = spf[m] == p
+            pk[lo + 1 : hi + 1] = np.where(same, pk[m] * p, p)
+            rest[lo + 1 : hi + 1] = np.where(same, rest[m], m)
+            lo = hi
+        pair = (pk, rest)
         self._cache["power_cofactor"] = pair
         return pair
 
@@ -228,9 +240,12 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
     """Dense table of f(n), 1 ≤ n ≤ limit, from the prime-power rule.
 
     Prime powers come straight from the rule (completely multiplicative specs
-    reuse f(p)^k via cumulative products); composite n = pk·rest are filled in
-    doubling blocks, so each value is a single complex multiply once its two
-    coprime parts are known.  Cost is O(N) array work after the sieve.
+    reuse f(p)^k via cumulative products).  Every other n is the single
+    complex product f(pk[n])·f(rest[n]) of its coprime parts from
+    SieveIndex.power_cofactor; both parts are at most n/2, so chunks
+    (lo, min(2·lo, lo + BLOCK, limit)] filled in ascending order read only
+    finished entries, and no temporary outgrows BLOCK.  Cost is O(N) array
+    work after the sieve.
     """
     if limit is None:
         limit = sieve.limit
@@ -276,9 +291,8 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
     pk, rest = sieve.power_cofactor()
     lo = 1
     while lo < limit:
-        hi = min(2 * lo, limit)
-        seg = np.arange(lo + 1, hi + 1)
-        comp = seg[rest[lo + 1 : hi + 1] > 1]
+        hi = min(2 * lo, lo + BLOCK, limit)
+        comp = np.flatnonzero(rest[lo + 1 : hi + 1] > 1) + (lo + 1)
         values[comp] = values[pk[comp]] * values[rest[comp]]
         lo = hi
     return ValueTable(spec=spec, limit=limit, values=values)
@@ -352,13 +366,17 @@ def checkpointed_sums(
 
     Real and imaginary parts each go through the Sum2 prefix of Ogita, Rump
     and Oishi (2005), accurate as if summed in twice the working precision.
-    Its reduction order is fixed by the data alone: mode and thread count
-    are validated but select nothing, so every mode gives the same bits.
+    Real terms take the real pass alone; the result is complex128 either
+    way, with imaginary parts +0.0 for real terms.  The reduction order is
+    fixed by the data alone: mode and thread count are validated but select
+    nothing, so every mode gives the same bits.
     """
     if mode not in SUMMATION_MODES:
         raise InvalidArgumentError(f"unknown summation mode {mode!r}")
     resolve_threads(threads)
-    terms = np.asarray(terms, dtype=np.complex128)
+    terms = np.asarray(terms)
+    is_complex = np.iscomplexobj(terms)
+    terms = terms.astype(np.complex128 if is_complex else np.float64, copy=False)
     positions = np.asarray(positions, dtype=np.int64)
     if positions.size and (
         np.any(positions[1:] < positions[:-1])
@@ -368,7 +386,8 @@ def checkpointed_sums(
         raise InvalidArgumentError("prefix positions must be sorted within range")
     out = np.zeros(positions.size, dtype=np.complex128)
     _sum2_prefix(terms.real, positions, out.real)
-    _sum2_prefix(terms.imag, positions, out.imag)
+    if is_complex:
+        _sum2_prefix(terms.imag, positions, out.imag)
     return out
 
 
@@ -398,12 +417,23 @@ def partial_sums(
 
 
 def mean_square_sum(table: ValueTable, x: float) -> float:
-    """Σ_{n ≤ x} |f(n)|² (nonnegative, nondecreasing in x)."""
+    """Σ_{n ≤ x} |f(n)|² (nonnegative, nondecreasing in x).
+
+    Squares BLOCK values at a time into one scratch buffer and adds the chunk
+    sums with math.fsum, so no temporary outgrows a chunk; exact whenever
+    the squares and their partial sums are integers below 2^53.
+    """
     m = int(math.floor(x))
     if m < 1 or m > table.limit:
         raise OutOfRangeError(f"x={x} outside [1, {table.limit}]")
-    v = table.values[1 : m + 1]
-    return float(np.sum(v.real * v.real + v.imag * v.imag))
+    buf = np.empty(2 * BLOCK)
+    chunks = []
+    for a in range(1, m + 1, BLOCK):
+        v = table.values[a : min(a + BLOCK, m + 1)]
+        v = np.ascontiguousarray(v, dtype=np.complex128)
+        sq = np.square(v.view(np.float64), out=buf[: 2 * v.size])
+        chunks.append(float(np.add.reduce(sq)))
+    return math.fsum(chunks)
 
 
 def geometric_checkpoints(lo: float, hi: float, ratio: float = GRID_RATIO) -> np.ndarray:

@@ -158,9 +158,7 @@ def _checkpoints_for(cutoff: float, checkpoints) -> np.ndarray:
 
 def _prime_report(kind, params, ps, terms, cutoffs, mode, threads) -> DistanceReport:
     positions = np.searchsorted(ps, cutoffs, side="right")
-    partials = checkpointed_sums(
-        terms.astype(np.complex128), positions, mode=mode, threads=threads
-    ).real
+    partials = checkpointed_sums(terms, positions, mode=mode, threads=threads).real
     slope = fit_tail_slope(cutoffs, partials)
     return DistanceReport(
         kind=kind,
@@ -440,9 +438,7 @@ def h_majorant_series(
     w = (mag if power == "L1" else mag * mag) / n**sigma
     x = _checkpoints_for(float(N), checkpoints)
     positions = np.floor(x).astype(np.int64)
-    partials = checkpointed_sums(
-        w[1:].astype(np.complex128), positions, mode=mode, threads=threads
-    ).real
+    partials = checkpointed_sums(w[1:], positions, mode=mode, threads=threads).real
     slope = fit_tail_slope(x, partials)
     params = {"h": spec.name, "sigma": sigma, "N": N, "power": power}
     return DistanceReport(

@@ -271,6 +271,22 @@ def test_non_finite_checkpoints_give_one_error_line(capsys, cps):
     assert capsys.readouterr().err.splitlines() == ["error: checkpoints must be finite"]
 
 
+@pytest.mark.parametrize("desc, err", [
+    ('{"construction":"character"}', "'character' descriptor needs field 'q'"),
+    ('{"construction":"character","q":"x","index":1}',
+     "'character' descriptor field 'q' is invalid: 'x'"),
+    ('{"construction":"squarefree-restrict","base":{"construction":"kronecker"}}',
+     "'kronecker' descriptor needs field 'D'"),
+    ('{"construction":"degree-d","constituents":5}',
+     "'degree-d' descriptor field 'constituents' is invalid: 5"),
+    ('{"construction":"tabulated","values":[[2,1]]}',
+     "'tabulated' descriptor field 'values' is invalid: [[2, 1]]"),
+])
+def test_bad_descriptor_fields_give_one_error_line(capsys, desc, err):
+    assert main(["sums", "--spec", desc, "--N", "100"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
+
+
 @pytest.mark.parametrize("cps", ["a,b", "1:2:3", "10,"])
 def test_unparsable_checkpoints_give_one_error_line(capsys, cps):
     assert main(["sums", "--spec", "one", "--N", "100", f"--checkpoints={cps}"]) == 1

@@ -21,10 +21,23 @@ from pretense.core import (
     series_csv,
     table_csv,
 )
-from pretense.constructions import standard_spec
+from pretense.constructions import (
+    archimedean_twist,
+    dirichlet_character,
+    kronecker_character,
+    squarefree_restrict,
+    standard_spec,
+)
+from pretense.degree import degree_d_spec
 from pretense.errors import InvalidArgumentError, LimitError, RuleError
 
-from oracles import brute_divisor_count, brute_liouville, brute_moebius, brute_primes
+from oracles import (
+    brute_divisor_count,
+    brute_factorize,
+    brute_liouville,
+    brute_moebius,
+    brute_primes,
+)
 
 
 def test_sieve_matches_boolean_oracle():
@@ -52,6 +65,55 @@ def test_power_cofactor_decomposition():
     assert np.all(rest[2:] % spf[2:] != 0)
 
 
+# limits at, and one either side of, chunk edges of every patched block size
+# and of the doubling bound 2·lo
+_CHUNK_EDGES = sorted(
+    {e + d for e in [2**k for k in range(1, 11)] + list(range(64, 1100, 64))
+     for d in (-1, 0, 1)} - {1}
+)
+
+
+# (spec, integer-valued): completely multiplicative, general (squarefree
+# restrictions) and degree-2 specs
+_TABLE_SPECS = (
+    (archimedean_twist(0.7), False),
+    (standard_spec("liouville"), True),
+    (squarefree_restrict(dirichlet_character(7, 1)), False),
+    (squarefree_restrict(dirichlet_character(5, 1)), True),
+    (degree_d_spec([kronecker_character(5), kronecker_character(-3)]), True),
+)
+
+
+@given(st.one_of(st.integers(min_value=2, max_value=1100), st.sampled_from(_CHUNK_EDGES)))
+@settings(max_examples=25, deadline=None)
+def test_tables_do_not_depend_on_block(limit):
+    u = 2.0**-53
+    results = []
+    for b in (1, 3, 64, core.BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "BLOCK", b)
+            sv = build_sieve(limit)
+            pk, rest = sv.power_cofactor()
+            assert pk.dtype == rest.dtype == np.int32
+            tables = []
+            for spec, integral in _TABLE_SPECS:
+                t = evaluate(spec, sv)
+                tables.append(t.values.tobytes())
+                v = t.values[1:]
+                exact = math.fsum(np.concatenate([v.real, v.imag]) ** 2)
+                got = mean_square_sum(t, limit)
+                if integral:
+                    assert got == exact, (b, spec.name)
+                else:
+                    n = 2 * limit
+                    assert abs(got - exact) <= n * u / (1 - n * u) * exact, (b, spec.name)
+            results.append((pk.tobytes(), rest.tobytes(), tables))
+    assert all(r == results[0] for r in results[1:])
+    want_pk = [1, 1] + [p**k for p, k in (brute_factorize(n)[0] for n in range(2, limit + 1))]
+    assert pk.tolist() == want_pk
+    assert rest.tolist() == [n // q if n else 1 for n, q in enumerate(want_pk)]
+
+
 def test_sieve_limit_guard():
     with pytest.raises(LimitError):
         build_sieve(10**9)
@@ -68,8 +130,6 @@ def test_evaluate_moebius_and_liouville(sieve_1e4):
 
 
 def test_evaluate_divisor_function(sieve_1e4):
-    from pretense.degree import degree_d_spec
-
     tau = evaluate(
         degree_d_spec([standard_spec("one"), standard_spec("one")]), sieve_1e4, 3000
     )
