@@ -145,6 +145,15 @@ def parse_checkpoints(text: Optional[str], n: int):
         ) from None
 
 
+def _parse_ints(text: str, flag: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidArgumentError(
+            f'cannot parse {flag} {text!r}; expected integers like "3,4"'
+        ) from None
+
+
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace(" ", ""))
@@ -300,7 +309,7 @@ def _cmd_convolve(a) -> int:
 def _parse_primes(text: Optional[str], default_limit: int = 50):
     if text is None:
         return tuple(int(p) for p in build_sieve(default_limit).primes)
-    return tuple(int(v) for v in text.split(","))
+    return tuple(_parse_ints(text, "--primes"))
 
 
 def _cmd_quotient(a) -> int:
@@ -392,7 +401,7 @@ def _cmd_construct(a) -> int:
         if a.spec is None or a.intervals is None:
             raise InvalidArgumentError("sparse-dyadic needs --spec and --intervals")
         spec = sparse_dyadic(parse_spec_arg(a.spec),
-                             [int(v) for v in a.intervals.split(",")])
+                             _parse_ints(a.intervals, "--intervals"))
     elif name == "optimality-twist":
         if a.spec is None:
             raise InvalidArgumentError("optimality-twist needs --spec and --beta")

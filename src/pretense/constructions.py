@@ -30,12 +30,13 @@ from .core import (
     prime_values_of,
 )
 from .errors import InvalidArgumentError, PretenseError, RuleError
+from .randspecs import prime_table, random_pair_sparse_diff, random_spec
 
 MAX_MODULUS = 10**6
 MAX_TWIST_T = 1e6
+# The interval of exponent 6 starts at 2^64, beyond every int64 prime.
+MAX_DYADIC_EXPONENT = 5
 
-# Phase twists leave p = 2, 3 alone: log log p only clears 0.1 from p = 5 on.
-UNTWISTED_PRIMES = (2, 3)
 SIGN_RULE_THRESHOLD = 10.0
 
 
@@ -48,41 +49,23 @@ def _loglog(ps: np.ndarray) -> np.ndarray:
 
 def standard_spec(name: str) -> FunctionSpec:
     """one, delta, moebius, or liouville."""
-    if name == "one":
+    if name in ("one", "delta", "liouville"):
+        v = {"one": 1.0, "delta": 0.0, "liouville": -1.0}[name]
         return FunctionSpec(
-            name="one",
+            name=name,
             kind=COMPLETELY_MULTIPLICATIVE,
-            rule=lambda p, k: 1.0,
+            prime_values=lambda ps: np.full(ps.shape, v, dtype=np.complex128),
             bounded_by_one=True,
-            prime_values=lambda ps: np.ones(ps.shape, dtype=np.complex128),
-            params={"construction": "one"},
-        )
-    if name == "delta":
-        return FunctionSpec(
-            name="delta",
-            kind=COMPLETELY_MULTIPLICATIVE,
-            rule=lambda p, k: 0.0,
-            bounded_by_one=True,
-            prime_values=lambda ps: np.zeros(ps.shape, dtype=np.complex128),
-            params={"construction": "delta"},
+            params={"construction": name},
         )
     if name == "moebius":
         return FunctionSpec(
             name="moebius",
             kind=GENERAL_MULTIPLICATIVE,
-            rule=lambda p, k: -1.0 if k == 1 else 0.0,
-            bounded_by_one=True,
             prime_values=lambda ps: np.full(ps.shape, -1.0, dtype=np.complex128),
+            powers=lambda p, k: 0.0,
+            bounded_by_one=True,
             params={"construction": "moebius"},
-        )
-    if name == "liouville":
-        return FunctionSpec(
-            name="liouville",
-            kind=COMPLETELY_MULTIPLICATIVE,
-            rule=lambda p, k: (-1.0) ** k,
-            bounded_by_one=True,
-            prime_values=lambda ps: np.full(ps.shape, -1.0, dtype=np.complex128),
-            params={"construction": "liouville"},
         )
     raise InvalidArgumentError(f"unknown standard spec {name!r}")
 
@@ -213,15 +196,11 @@ def dirichlet_character(q: int, index: int) -> FunctionSpec:
                 a = (a + step) % lcm
         fill(0, 1 % q, 0)
 
-    def rule(p, k, q=q, table=table):
-        return table[pow(int(p), int(k), q)]
-
     spec = FunctionSpec(
         name=f"chi({q},{index})",
         kind=COMPLETELY_MULTIPLICATIVE,
-        rule=rule,
-        bounded_by_one=True,
         prime_values=lambda ps: table[ps % q],
+        bounded_by_one=True,
         params={"construction": "character", "q": q, "index": index},
     )
     _verify_periodic_table(spec, table, q)
@@ -301,15 +280,11 @@ def kronecker_character(D: int) -> FunctionSpec:
         [kronecker_symbol(D, r) for r in range(period)], dtype=np.complex128
     )
 
-    def rule(p, k, period=period, table=table):
-        return table[pow(int(p), int(k), period)]
-
     spec = FunctionSpec(
         name=f"kron({D})",
         kind=COMPLETELY_MULTIPLICATIVE,
-        rule=rule,
-        bounded_by_one=True,
         prime_values=lambda ps: table[ps % period],
+        bounded_by_one=True,
         params={"construction": "kronecker", "D": D},
     )
     _verify_periodic_table(spec, table, period)
@@ -325,15 +300,11 @@ def archimedean_twist(t: float) -> FunctionSpec:
     if not abs(t) <= MAX_TWIST_T:
         raise InvalidArgumentError(f"|t| must be <= {MAX_TWIST_T}, got {t}")
 
-    def rule(p, k):
-        return complex(np.exp(1j * t * k * np.log(float(p))))
-
     return FunctionSpec(
         name=f"ntwist({t})",
         kind=COMPLETELY_MULTIPLICATIVE,
-        rule=rule,
-        bounded_by_one=True,
         prime_values=lambda ps: np.exp(1j * t * np.log(ps.astype(np.float64))),
+        bounded_by_one=True,
         params={"construction": "archimedean-twist", "t": t},
     )
 
@@ -353,38 +324,25 @@ def sparse_dyadic(base: FunctionSpec, exponents: Iterable[int]) -> FunctionSpec:
     if base.kind != COMPLETELY_MULTIPLICATIVE:
         raise InvalidArgumentError("base spec must be completely multiplicative")
     js = sorted(int(j) for j in exponents)
-    if any(j < 0 for j in js):
-        raise InvalidArgumentError("interval exponents must be >= 0")
+    if any(not 0 <= j <= MAX_DYADIC_EXPONENT for j in js):
+        raise InvalidArgumentError(
+            f"interval exponents must be in [0, {MAX_DYADIC_EXPONENT}], got {js}"
+        )
     if len(js) != len(set(js)):
         raise InvalidArgumentError("duplicate exponents give overlapping intervals")
     intervals = [(2 ** (2**j), 2 ** (2**j + 1)) for j in js]
 
-    def in_interval(p: int) -> bool:
-        return any(lo <= p < hi for lo, hi in intervals)
-
-    def rule(p, k):
-        b = 1.0 + 0.0j if in_interval(int(p)) else complex(base.value(int(p), 1))
-        return b**k
-
-    hook = None
-    if base.prime_values is not None:
-        base_hook = base.prime_values
-
-        def hook(ps):
-            out = np.asarray(base_hook(ps), dtype=np.complex128).copy()
-            for lo, hi in intervals:
-                if lo > 2**62:
-                    continue
-                m = (ps >= lo) & (ps < min(hi, 2**62))
-                out[m] = 1.0
-            return out
+    def prime_values(ps):
+        out = np.array(base.prime_values(ps), dtype=np.complex128)
+        for lo, hi in intervals:
+            out[(ps >= lo) & (ps < hi)] = 1.0
+        return out
 
     return FunctionSpec(
         name=f"dyadic({base.name},{js})",
         kind=COMPLETELY_MULTIPLICATIVE,
-        rule=rule,
+        prime_values=prime_values,
         bounded_by_one=base.bounded_by_one,
-        prime_values=hook,
         params={
             "construction": "sparse-dyadic",
             "base": spec_descriptor(base),
@@ -450,37 +408,21 @@ def optimality_twist(
     rule_name, diag = twist_sign_rule(f, diagnostics_cutoff, sieve=sieve)
     half = (1.0 - beta) / 2.0
 
-    def g_at_prime(p: int) -> complex:
-        fp = complex(f.value(p, 1))
-        if p in UNTWISTED_PRIMES:
-            return fp
-        om = _omega_values(rule_name, np.asarray(fp))
-        theta = 1.0 / (float(p) ** half * np.log(np.log(float(p))))
-        return complex(np.exp(2j * np.pi * float(om) * theta)) * fp
-
-    def rule(p, k):
-        return g_at_prime(int(p)) ** int(k)
-
-    hook = None
-    if f.prime_values is not None:
-        f_hook = f.prime_values
-
-        def hook(ps):
-            fp = np.asarray(f_hook(ps), dtype=np.complex128)
-            tw = ps >= 5
-            theta = np.zeros(ps.shape, dtype=np.float64)
-            theta[tw] = 1.0 / (ps[tw] ** half * _loglog(ps[tw]))
-            om = _omega_values(rule_name, fp)
-            phase = np.exp(2j * np.pi * om * theta)
-            phase[~tw] = 1.0
-            return phase * fp
+    def prime_values(ps):
+        fp = np.asarray(f.prime_values(ps), dtype=np.complex128)
+        tw = ps >= 5  # p = 2, 3 stay put: log log p clears 0.1 from p = 5 on
+        theta = np.zeros(ps.shape, dtype=np.float64)
+        theta[tw] = 1.0 / (ps[tw] ** half * _loglog(ps[tw]))
+        om = _omega_values(rule_name, fp)
+        phase = np.exp(2j * np.pi * om * theta)
+        phase[~tw] = 1.0
+        return phase * fp
 
     return FunctionSpec(
         name=f"twist({f.name},beta={beta})",
         kind=COMPLETELY_MULTIPLICATIVE,
-        rule=rule,
+        prime_values=prime_values,
         bounded_by_one=f.bounded_by_one,
-        prime_values=hook,
         params={
             "construction": "optimality-twist",
             "base": spec_descriptor(f),
@@ -532,19 +474,15 @@ def phase_sum_partials(
 # squarefree restriction
 
 def squarefree_restrict(f: FunctionSpec) -> FunctionSpec:
-    """Keep f on squarefree n, zero elsewhere: rule (p,1) ↦ f(p), (p,k≥2) ↦ 0."""
+    """Keep f on squarefree n, zero elsewhere: f's prime map, powers k≥2 ↦ 0."""
     if f.params and f.params.get("construction") == "squarefree-restrict":
         return f  # idempotent by construction
-
-    def rule(p, k):
-        return f.value(int(p), 1) if k == 1 else 0.0
-
     return FunctionSpec(
         name=f"sqfree({f.name})",
         kind=GENERAL_MULTIPLICATIVE,
-        rule=rule,
-        bounded_by_one=f.bounded_by_one,
         prime_values=f.prime_values,
+        powers=lambda p, k: 0.0,
+        bounded_by_one=f.bounded_by_one,
         params={"construction": "squarefree-restrict", "base": spec_descriptor(f)},
     )
 
@@ -558,10 +496,19 @@ def tabulated_spec(
     kind: str = TABULATED,
     bounded_by_one: bool = False,
 ) -> FunctionSpec:
-    """Spec backed by an explicit {(p, k): value} table; off-table queries fail."""
-    table = {(int(p), int(k)): complex(v) for (p, k), v in values.items()}
+    """Spec backed by an explicit {(p, k): value} table; off-table queries fail.
 
-    def rule(p, k):
+    The k = 1 rows are the prime map.  A completely multiplicative table may
+    list k = 1 only: its higher powers are derived.
+    """
+    table = {(int(p), int(k)): complex(v) for (p, k), v in values.items()}
+    if kind == COMPLETELY_MULTIPLICATIVE and any(k != 1 for _, k in table):
+        raise InvalidArgumentError(f"a {kind} table may list k = 1 only")
+    firsts = sorted((p, v) for (p, k), v in table.items() if k == 1)
+    primes = np.array([p for p, _ in firsts], dtype=np.int64)
+    vals = np.array([v for _, v in firsts], dtype=np.complex128)
+
+    def powers(p, k):
         try:
             return table[(int(p), int(k))]
         except KeyError:
@@ -570,7 +517,8 @@ def tabulated_spec(
     return FunctionSpec(
         name=name,
         kind=kind,
-        rule=rule,
+        prime_values=prime_table(primes, vals, name),
+        powers=None if kind == COMPLETELY_MULTIPLICATIVE else powers,
         bounded_by_one=bounded_by_one,
         params={
             "construction": "tabulated",
@@ -647,8 +595,6 @@ def spec_from_descriptor(desc: dict) -> FunctionSpec:
     if kind == "archimedean-twist":
         return archimedean_twist(get("t", float))
     if kind == "random":
-        from .randspecs import random_spec
-
         return random_spec(
             get("seed", int),
             limit=get("limit", int),
@@ -656,8 +602,6 @@ def spec_from_descriptor(desc: dict) -> FunctionSpec:
             max_exponent=get("max_exponent", int, 13),
         )
     if kind == "random-pair":
-        from .randspecs import random_pair_sparse_diff
-
         f, g, _ = random_pair_sparse_diff(
             get("seed", int), limit=get("limit", int), ndiff=get("ndiff", int)
         )

@@ -1,7 +1,7 @@
 """Dense machinery for multiplicative functions f: ℕ → ℂ.
 
 A function is described by its values on prime powers, f(p^k), via a
-FunctionSpec.  Everything downstream works from that rule:
+FunctionSpec.  Everything downstream works from its prime map and powers:
 
     build_sieve(N)          smallest-prime-factor table and prime list up to N
     evaluate(spec, sieve)   dense table of f(n) for 1 ≤ n ≤ N
@@ -60,21 +60,20 @@ GRID_RATIO = 10.0 ** 0.125
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A multiplicative function given by its prime-power rule.
+    """A multiplicative function given by its values at prime powers.
 
-    rule(p, k) must return f(p^k) for every prime p and k ≥ 1; f(p^0) = 1 is
-    supplied by value().  When bounded_by_one is claimed, every queried value
-    is checked against the closed unit disc.  prime_values, when present, is a
-    vectorized shortcut returning f(p) for an int64 array of primes; it must
-    agree with rule(p, 1).
+    prime_values(ps) is the only f(p), for an int64 array of primes.  powers
+    gives f(p^k) for k >= 2 and is None exactly for completely multiplicative
+    kinds, where f(p^k) = f(p^{k-1})·f(p) as in evaluate, to the bit.  value()
+    adds f(p^0) = 1, a cache and the unit-disc check of bounded_by_one.
     """
 
     name: str
     kind: str
-    rule: Callable[[int, int], complex]
+    prime_values: Callable[[np.ndarray], np.ndarray]
+    powers: Optional[Callable[[int, int], complex]] = None
     bounded_by_one: bool = False
     growth_delta: Optional[float] = None
-    prime_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
     degree: Optional[int] = None
     constituents: Optional[tuple] = None
     params: Optional[dict] = None
@@ -83,6 +82,18 @@ class FunctionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidArgumentError(f"unknown spec kind {self.kind!r}")
+        if (self.powers is None) != (self.kind == COMPLETELY_MULTIPLICATIVE):
+            need = "takes no" if self.kind == COMPLETELY_MULTIPLICATIVE else "needs a"
+            raise InvalidArgumentError(f"{self.kind} spec {self.name!r} {need} powers rule")
+
+    def rule(self, p: int, k: int) -> complex:
+        """f(p^k), k >= 1.  Completely multiplicative powers multiply 1-element
+        arrays, as evaluate does: numpy may fuse multiply-adds, Python won't."""
+        if k == 1:
+            return complex(self.prime_values(np.array([p], dtype=np.int64))[0])
+        if self.powers is None:
+            return np.multiply([self.value(p, k - 1)], [self.value(p, 1)])[0]
+        return self.powers(p, k)
 
     def value(self, p: int, k: int) -> complex:
         if k == 0:
@@ -215,17 +226,10 @@ SUMMATION_MODES = (SEQUENTIAL, BLOCK_PARALLEL)
 
 
 def prime_values_of(spec: FunctionSpec, primes: np.ndarray) -> np.ndarray:
-    """f(p) for an array of primes, via the vectorized hook when available."""
-    if spec.prime_values is not None:
-        vals = np.asarray(spec.prime_values(primes), dtype=np.complex128)
-        if vals.shape != primes.shape:
-            raise RuleError(
-                f"prime_values hook of {spec.name!r} returned shape {vals.shape}"
-            )
-    else:
-        vals = np.array(
-            [spec.value(int(p), 1) for p in primes], dtype=np.complex128
-        )
+    """f(p) for an array of primes from the spec's prime map."""
+    vals = np.asarray(spec.prime_values(primes), dtype=np.complex128)
+    if vals.shape != primes.shape:
+        raise RuleError(f"prime map of {spec.name!r} returned shape {vals.shape}")
     if spec.bounded_by_one and vals.size:
         bad = np.abs(vals) > 1.0 + UNIT_DISC_TOL
         if bad.any():
@@ -237,10 +241,10 @@ def prime_values_of(spec: FunctionSpec, primes: np.ndarray) -> np.ndarray:
 
 
 def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None) -> ValueTable:
-    """Dense table of f(n), 1 ≤ n ≤ limit, from the prime-power rule.
+    """Dense table of f(n), 1 ≤ n ≤ limit, from the spec's prime-power values.
 
-    Prime powers come straight from the rule (completely multiplicative specs
-    reuse f(p)^k via cumulative products).  Every other n is the single
+    Primes come from the prime map, higher prime powers from powers or, when
+    completely multiplicative, cumulative products.  Every other n is the single
     complex product f(pk[n])·f(rest[n]) of its coprime parts from
     SieveIndex.power_cofactor; both parts are at most n/2, so chunks
     (lo, min(2·lo, lo + BLOCK, limit)] filled in ascending order read only

@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     COMPLETELY_MULTIPLICATIVE,
     DEGREE_D_COMPOSITE,
+    GENERAL_MULTIPLICATIVE,
     FunctionSpec,
     SieveIndex,
     build_sieve,
@@ -135,18 +136,11 @@ def degree_d_spec(constituents: Sequence[FunctionSpec]) -> FunctionSpec:
             got = cache[p] = np.array([c.value(p, 1) for c in cs])
         return got
 
-    def rule(p, k):
-        return q_poly(k, args_at(int(p)))
-
-    hook = None
-    if all(c.prime_values is not None for c in cs):
-        hooks = [c.prime_values for c in cs]
-
-        def hook(ps):
-            out = np.zeros(ps.shape, dtype=np.complex128)
-            for hk in hooks:
-                out += np.asarray(hk(ps), dtype=np.complex128)
-            return out
+    def prime_values(ps):
+        out = np.zeros(ps.shape, dtype=np.complex128)
+        for c in cs:
+            out += np.asarray(c.prime_values(ps), dtype=np.complex128)
+        return out
 
     params = None
     if all(c.params is not None for c in cs):
@@ -157,9 +151,9 @@ def degree_d_spec(constituents: Sequence[FunctionSpec]) -> FunctionSpec:
     return FunctionSpec(
         name=f"deg{d}({','.join(c.name for c in cs)})",
         kind=DEGREE_D_COMPOSITE,
-        rule=rule,
+        prime_values=prime_values,
+        powers=lambda p, k: q_poly(k, args_at(int(p))),
         bounded_by_one=(d == 1),
-        prime_values=hook,
         degree=d,
         constituents=cs,
         params=params,
@@ -205,7 +199,13 @@ def perturbed_member(f: FunctionSpec, p: int, k: int, eps: complex) -> FunctionS
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
 
-    def rule(pp, kk):
+    def prime_values(ps):
+        out = np.array(f.prime_values(ps), dtype=np.complex128)
+        if k == 1:
+            out[ps == p] += eps
+        return out
+
+    def powers(pp, kk):
         v = f.value(int(pp), int(kk))
         if int(pp) == p and int(kk) == k:
             v = v + eps
@@ -213,8 +213,9 @@ def perturbed_member(f: FunctionSpec, p: int, k: int, eps: complex) -> FunctionS
 
     return FunctionSpec(
         name=f"perturbed({f.name},p={p},k={k})",
-        kind=f.kind,
-        rule=rule,
+        kind=GENERAL_MULTIPLICATIVE if f.kind == COMPLETELY_MULTIPLICATIVE else f.kind,
+        prime_values=prime_values,
+        powers=powers,
         bounded_by_one=False,
         degree=f.degree,
         constituents=f.constituents,

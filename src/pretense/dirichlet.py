@@ -20,10 +20,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    COMPLETELY_MULTIPLICATIVE,
     GENERAL_MULTIPLICATIVE,
     FunctionSpec,
     ValueTable,
+    prime_values_of,
 )
 from .errors import (
     InvalidArgumentError,
@@ -132,21 +132,11 @@ def solve_quotient(
     if K < 1:
         raise InvalidArgumentError(f"max exponent must be >= 1, got {K}")
 
-    rule = quotient_rule(f, g)
-    hook = None
-    if f.prime_values is not None and g.prime_values is not None:
-        f_hook, g_hook = f.prime_values, g.prime_values
-
-        def hook(ps):
-            return np.asarray(g_hook(ps), dtype=np.complex128) - np.asarray(
-                f_hook(ps), dtype=np.complex128
-            )
-
     spec = FunctionSpec(
         name=f"({g.name}/{f.name})",
         kind=GENERAL_MULTIPLICATIVE,
-        rule=rule,
-        prime_values=hook,
+        prime_values=lambda ps: prime_values_of(g, ps) - prime_values_of(f, ps),
+        powers=quotient_rule(f, g),
     )
     local = []
     for p in plist:
@@ -181,41 +171,25 @@ def dirichlet_inverse(h: FunctionSpec) -> FunctionSpec:
             acc -= h.value(p, m - j) * c[j]
         return acc
 
-    hook = None
-    if h.prime_values is not None:
-        h_hook = h.prime_values
-
-        def hook(ps):
-            return -np.asarray(h_hook(ps), dtype=np.complex128)
-
     return FunctionSpec(
         name=f"inv({h.name})",
         kind=GENERAL_MULTIPLICATIVE,
-        rule=_lazy_local_solver(update),
-        prime_values=hook,
+        prime_values=lambda ps: -prime_values_of(h, ps),
+        powers=_lazy_local_solver(update),
     )
 
 
 def convolve_spec(f: FunctionSpec, h: FunctionSpec) -> FunctionSpec:
     """Rule-level Dirichlet convolution, (f ∗ h)(p^k) = Σ_j f(p^j) h(p^{k−j})."""
 
-    def rule(p, k):
+    def powers(p, k):
         return sum(f.value(p, j) * h.value(p, k - j) for j in range(k + 1))
-
-    hook = None
-    if f.prime_values is not None and h.prime_values is not None:
-        f_hook, h_hook = f.prime_values, h.prime_values
-
-        def hook(ps):
-            return np.asarray(f_hook(ps), dtype=np.complex128) + np.asarray(
-                h_hook(ps), dtype=np.complex128
-            )
 
     return FunctionSpec(
         name=f"({f.name} * {h.name})",
         kind=GENERAL_MULTIPLICATIVE,
-        rule=rule,
-        prime_values=hook,
+        prime_values=lambda ps: prime_values_of(f, ps) + prime_values_of(h, ps),
+        powers=powers,
     )
 
 

@@ -265,9 +265,12 @@ def distance_strong(
     both_cm = (
         f.kind == COMPLETELY_MULTIPLICATIVE and g.kind == COMPLETELY_MULTIPLICATIVE
     )
+    fpj, gpj = fp, gp
     for j in range(2, k + 1):
         if both_cm:
-            diff = np.abs(fp**j - gp**j)
+            # the running product f(p^j) = f(p^{j-1})·f(p) of FunctionSpec.rule
+            fpj, gpj = fpj * fp, gpj * gp
+            diff = np.abs(fpj - gpj)
         else:
             diff = np.abs(
                 np.array([f.value(int(p), j) - g.value(int(p), j) for p in ps])

@@ -19,14 +19,18 @@ from .core import (
 from .errors import InvalidArgumentError, RuleError
 
 
-def _prime_lookup(primes: np.ndarray, name: str):
-    def find(p: int) -> int:
-        i = int(np.searchsorted(primes, p))
-        if i >= primes.size or primes[i] != p:
-            raise RuleError(f"{name} is only tabulated for primes <= {primes[-1]}")
-        return i
+def prime_table(primes: np.ndarray, vals: np.ndarray, name: str):
+    """Prime map reading vals[i] at primes[i] (ascending); other primes fail."""
 
-    return find
+    def prime_values(ps):
+        idx = np.searchsorted(primes, ps)
+        miss = idx >= primes.size
+        miss[~miss] = primes[idx[~miss]] != ps[~miss]
+        if miss.any():
+            raise RuleError(f"{name} is not tabulated at p={int(ps[miss][0])}")
+        return vals[idx]
+
+    return prime_values
 
 
 def random_spec(
@@ -38,49 +42,38 @@ def random_spec(
     """Random unit-disc spec tabulated at all primes <= limit."""
     seed = int(seed)
     limit = int(limit)
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if limit < 2:
         raise InvalidArgumentError("limit must be >= 2")
     primes = build_sieve(limit).primes
     rng = np.random.default_rng(seed)
+    powers = None
     if kind == COMPLETELY_MULTIPLICATIVE:
         vals = np.exp(2j * np.pi * rng.random(primes.size))
         name = f"rand(cm,seed={seed})"
+        prime_values = prime_table(primes, vals, name)
     elif kind == GENERAL_MULTIPLICATIVE:
         if max_exponent < 1:
             raise InvalidArgumentError("max_exponent must be >= 1")
         vals = np.exp(2j * np.pi * rng.random((primes.size, max_exponent)))
         name = f"rand(gm,seed={seed})"
-    else:
-        raise InvalidArgumentError(f"unsupported random spec kind {kind!r}")
-    find = _prime_lookup(primes, name)
+        columns = [prime_table(primes, vals[:, j], name) for j in range(max_exponent)]
+        prime_values = columns[0]
 
-    if kind == COMPLETELY_MULTIPLICATIVE:
-        def rule(p, k):
-            return vals[find(int(p))] ** int(k)
-
-        def hook(ps):
-            idx = np.searchsorted(primes, ps)
-            if np.any(idx >= primes.size) or np.any(primes[idx] != ps):
-                raise RuleError(f"{name} is only tabulated for primes <= {primes[-1]}")
-            return vals[idx]
-    else:
-        def rule(p, k):
+        def powers(p, k):
             if k > max_exponent:
                 raise RuleError(f"{name} is only tabulated for exponents <= {max_exponent}")
-            return vals[find(int(p)), int(k) - 1]
-
-        def hook(ps):
-            idx = np.searchsorted(primes, ps)
-            if np.any(idx >= primes.size) or np.any(primes[idx] != ps):
-                raise RuleError(f"{name} is only tabulated for primes <= {primes[-1]}")
-            return vals[idx, 0]
+            return columns[k - 1](np.array([p]))[0]
+    else:
+        raise InvalidArgumentError(f"unsupported random spec kind {kind!r}")
 
     return FunctionSpec(
         name=name,
         kind=kind,
-        rule=rule,
+        prime_values=prime_values,
+        powers=powers,
         bounded_by_one=True,
-        prime_values=hook,
         params={
             "construction": "random",
             "seed": seed,
@@ -105,6 +98,8 @@ def random_pair_sparse_diff(
     seed = int(seed)
     limit = int(limit)
     ndiff = int(ndiff)
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     primes = build_sieve(limit).primes
     if not 0 <= ndiff <= primes.size:
         raise InvalidArgumentError(f"ndiff must be in [0, {primes.size}]")
@@ -117,23 +112,11 @@ def random_pair_sparse_diff(
 
     def make(which: str, vals: np.ndarray) -> FunctionSpec:
         name = f"randpair({which},seed={seed})"
-        find = _prime_lookup(primes, name)
-
-        def rule(p, k, vals=vals, find=find):
-            return vals[find(int(p))] ** int(k)
-
-        def hook(ps, vals=vals):
-            idx = np.searchsorted(primes, ps)
-            if np.any(idx >= primes.size) or np.any(primes[idx] != ps):
-                raise RuleError(f"{name} is only tabulated for primes <= {primes[-1]}")
-            return vals[idx]
-
         return FunctionSpec(
             name=name,
             kind=COMPLETELY_MULTIPLICATIVE,
-            rule=rule,
+            prime_values=prime_table(primes, vals, name),
             bounded_by_one=True,
-            prime_values=hook,
             params={
                 "construction": "random-pair",
                 "seed": seed,

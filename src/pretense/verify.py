@@ -115,13 +115,13 @@ class CheckResult:
 
 
 def _alternating_spec() -> FunctionSpec:
-    """f(n) = +1 for odd n, -1 for even n: the rule is -1 at every power of 2."""
+    """f(n) = +1 for odd n, -1 for even n: f is -1 at every power of 2."""
     return FunctionSpec(
         name="alternating",
         kind=GENERAL_MULTIPLICATIVE,
-        rule=lambda p, k: -1.0 if p == 2 else 1.0,
-        bounded_by_one=True,
         prime_values=lambda ps: np.where(ps == 2, -1.0, 1.0).astype(np.complex128),
+        powers=lambda p, k: -1.0 if p == 2 else 1.0,
+        bounded_by_one=True,
     )
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -306,3 +307,23 @@ def test_thread_count_errors_give_one_error_line(capsys, monkeypatch):
         assert main(["verify", "thm2"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: PRETENSE_THREADS")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["sums", "--spec", '{"construction":"sparse-dyadic","base":{"construction":"one"},'
+      '"exponents":[40]}', "--N", "100"], "interval exponents must be in [0, 5]"),
+    (["construct", "sparse-dyadic", "--spec", "char:4:1", "--intervals", "2,x"],
+     "cannot parse --intervals '2,x'"),
+    (["quotient", "--spec", "one", "--spec2", "delta", "--primes", "2,y"],
+     "cannot parse --primes '2,y'"),
+    (["sums", "--spec", '{"construction":"random","seed":-1,"limit":100,'
+      '"kind":"completely-multiplicative"}', "--N", "100"], "seed must be >= 0"),
+    (["sums", "--spec", '{"construction":"random-pair","seed":-3,"limit":100,'
+      '"ndiff":2}', "--N", "100"], "seed must be >= 0"),
+])
+def test_bad_construction_inputs_give_one_error_line(capsys, argv, err):
+    t0 = time.monotonic()
+    assert main(argv) == 1
+    assert time.monotonic() - t0 < 5.0  # rejected up front, not after the work
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {err}")

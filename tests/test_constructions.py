@@ -1,4 +1,5 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,10 +18,22 @@ from pretense.constructions import (
     spec_from_descriptor,
     squarefree_restrict,
     standard_spec,
+    tabulated_spec,
     twist_sign_rule,
 )
-from pretense.core import build_sieve, evaluate, geometric_checkpoints, partial_sums
+from pretense.core import (
+    COMPLETELY_MULTIPLICATIVE,
+    GENERAL_MULTIPLICATIVE,
+    build_sieve,
+    evaluate,
+    geometric_checkpoints,
+    partial_sums,
+    prime_values_of,
+)
+from pretense.degree import degree_d_spec, perturbed_member
+from pretense.dirichlet import convolve_spec, dirichlet_inverse, solve_quotient
 from pretense.errors import InvalidArgumentError, OutOfRangeError
+from pretense.randspecs import random_pair_sparse_diff, random_spec
 
 from oracles import brute_factorize, brute_moebius, brute_squarefree_char_sums
 
@@ -274,6 +287,14 @@ def test_squarefree_restrict_idempotent():
     lambda: archimedean_twist(1.25),
     lambda: sparse_dyadic(dirichlet_character(4, 1), [2, 4]),
     lambda: squarefree_restrict(dirichlet_character(3, 1)),
+    lambda: standard_spec("one"),
+    lambda: standard_spec("delta"),
+    lambda: standard_spec("liouville"),
+    lambda: random_spec(3, limit=1000, kind=GENERAL_MULTIPLICATIVE),
+    lambda: random_pair_sparse_diff(2, limit=1000, ndiff=4)[1],
+    lambda: optimality_twist(dirichlet_character(4, 1), 0.5, diagnostics_cutoff=10**4),
+    lambda: degree_d_spec([dirichlet_character(4, 1), archimedean_twist(0.5)]),
+    lambda: _seeded_table(500, 9),
 ])
 def test_descriptor_roundtrip(build, sieve_1e4):
     spec = build()
@@ -285,11 +306,93 @@ def test_descriptor_roundtrip(build, sieve_1e4):
     assert np.array_equal(a, b)
 
 
+def _seeded_table(n, seed, kind="tabulated"):
+    """tabulated_spec with seeded values at every prime power <= n (only at
+    the primes for a completely multiplicative table)."""
+    rng = np.random.default_rng(seed)
+    rows = {}
+    for p in build_sieve(n).primes.tolist():
+        pk, k = p, 1
+        while pk <= n and (k == 1 or kind != COMPLETELY_MULTIPLICATIVE):
+            rows[(p, k)] = complex(*rng.standard_normal(2))
+            pk, k = pk * p, k + 1
+    return tabulated_spec(rows, kind=kind)
+
+
+ZOO_LIMIT = 20_000
+
+
+@lru_cache(maxsize=None)
+def _zoo():
+    """One spec of every construction, tabulated ones up to ZOO_LIMIT."""
+    chi4, chi7 = dirichlet_character(4, 1), dirichlet_character(7, 1)
+    rand_gm = random_spec(5, limit=ZOO_LIMIT, kind=GENERAL_MULTIPLICATIVE, max_exponent=15)
+    return tuple(standard_spec(n) for n in ("one", "delta", "moebius", "liouville")) + (
+        chi7,
+        kronecker_character(-8),
+        archimedean_twist(1.25),
+        sparse_dyadic(chi7, [2, 3]),
+        optimality_twist(chi4, 0.5, diagnostics_cutoff=10**4),
+        squarefree_restrict(chi7),
+        random_spec(4, limit=ZOO_LIMIT),
+        rand_gm,
+        random_pair_sparse_diff(6, limit=ZOO_LIMIT, ndiff=5)[1],
+        degree_d_spec([chi4, archimedean_twist(0.5), chi7]),
+        _seeded_table(ZOO_LIMIT, 7),
+        _seeded_table(ZOO_LIMIT, 8, kind=COMPLETELY_MULTIPLICATIVE),
+        solve_quotient(chi7, archimedean_twist(1.25), (2, 3), 4).spec,
+        dirichlet_inverse(rand_gm),
+        convolve_spec(archimedean_twist(0.5), standard_spec("liouville")),
+        perturbed_member(chi7, 3, 1, 0.25),
+    )
+
+
+def _bits(vals):
+    return np.asarray(vals, dtype=np.complex128).view(np.uint64)
+
+
+@given(st.integers(min_value=2, max_value=ZOO_LIMIT), st.data())
+@settings(max_examples=40, deadline=None)
+def test_prime_powers_have_one_definition(n, data):
+    # every p^k <= n: the dense table, value() and rule() agree to the bit,
+    # and the prime map at all primes at once equals value(p, 1)
+    spec = data.draw(st.sampled_from(_zoo()), label="spec")
+    sieve = build_sieve(ZOO_LIMIT)
+    table = evaluate(spec, sieve, n).values
+    ps = sieve.primes[sieve.primes <= n]
+    assert np.array_equal(
+        _bits(prime_values_of(spec, ps)), _bits([spec.value(p, 1) for p in ps.tolist()])
+    )
+    for p in ps.tolist():
+        pk, k = p, 1
+        while pk <= n:
+            want = _bits([table[pk]])
+            assert np.array_equal(want, _bits([spec.value(p, k)])), (spec.name, p, k)
+            assert np.array_equal(want, _bits([spec.rule(p, k)])), (spec.name, p, k)
+            pk, k = pk * p, k + 1
+
+
+def test_tabulated_cm_table_lists_primes_only():
+    with pytest.raises(InvalidArgumentError):
+        tabulated_spec({(2, 1): 0.5, (2, 2): 0.25}, kind=COMPLETELY_MULTIPLICATIVE)
+    spec = tabulated_spec({(2, 1): 0.5}, kind=COMPLETELY_MULTIPLICATIVE)
+    assert spec.value(2, 3) == 0.125
+
+
+def test_sparse_dyadic_caps_the_exponent():
+    with pytest.raises(InvalidArgumentError, match=r"\[0, 5\]"):
+        sparse_dyadic(standard_spec("one"), [40])
+    spec = sparse_dyadic(standard_spec("liouville"), [5])
+    ps = np.array([2, 2**32 - 5, 2**32 + 15, 2**33 + 17], dtype=np.int64)
+    assert prime_values_of(spec, ps).real.tolist() == [-1.0, -1.0, 1.0, -1.0]
+
+
 def test_descriptor_rejects_anonymous_spec():
     from pretense.core import FunctionSpec, GENERAL_MULTIPLICATIVE
 
     anon = FunctionSpec(name="anon", kind=GENERAL_MULTIPLICATIVE,
-                        rule=lambda p, k: 0.0)
+                        prime_values=lambda ps: np.zeros(ps.shape),
+                        powers=lambda p, k: 0.0)
     with pytest.raises(InvalidArgumentError):
         spec_descriptor(anon)
 

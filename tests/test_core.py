@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pretense import core
 from pretense.core import (
     BLOCK_PARALLEL,
+    COMPLETELY_MULTIPLICATIVE,
     SEQUENTIAL,
     FunctionSpec,
     GENERAL_MULTIPLICATIVE,
@@ -149,7 +150,8 @@ def test_rule_error_wrapping():
     def bad(p, k):
         raise KeyError(p)
 
-    spec = FunctionSpec(name="bad", kind=GENERAL_MULTIPLICATIVE, rule=bad)
+    spec = FunctionSpec(name="bad", kind=GENERAL_MULTIPLICATIVE,
+                        prime_values=lambda ps: bad(ps, 1), powers=bad)
     with pytest.raises(RuleError):
         spec.value(2, 1)
 
@@ -158,16 +160,30 @@ def test_unit_disc_enforcement():
     spec = FunctionSpec(
         name="big",
         kind=GENERAL_MULTIPLICATIVE,
-        rule=lambda p, k: 2.0,
+        prime_values=lambda ps: np.full(ps.shape, 2.0),
+        powers=lambda p, k: 2.0,
         bounded_by_one=True,
     )
     with pytest.raises(InvalidArgumentError):
         spec.value(2, 1)
 
 
+def test_spec_powers_given_exactly_when_not_completely_multiplicative():
+    ones = lambda ps: np.ones(ps.shape)
+    with pytest.raises(InvalidArgumentError):
+        FunctionSpec(name="cm", kind=COMPLETELY_MULTIPLICATIVE,
+                     prime_values=ones, powers=lambda p, k: 1.0)
+    with pytest.raises(InvalidArgumentError):
+        FunctionSpec(name="gm", kind=GENERAL_MULTIPLICATIVE, prime_values=ones)
+    half = FunctionSpec(name="half", kind=COMPLETELY_MULTIPLICATIVE,
+                        prime_values=lambda ps: np.full(ps.shape, 0.5))
+    assert half.rule(3, 1) == 0.5 and half.rule(3, 4) == 0.0625
+
+
 def test_value_at_exponent_zero_is_one():
     spec = FunctionSpec(
-        name="x", kind=GENERAL_MULTIPLICATIVE, rule=lambda p, k: 0.5
+        name="x", kind=GENERAL_MULTIPLICATIVE,
+        prime_values=lambda ps: np.full(ps.shape, 0.5), powers=lambda p, k: 0.5,
     )
     assert spec.value(7, 0) == 1.0
 

@@ -197,7 +197,8 @@ def test_determinant_bound_flags_hypothesis_violations():
     h = FunctionSpec(
         name="doubling",
         kind=GENERAL_MULTIPLICATIVE,
-        rule=lambda p, k: float(2**k) if p == 2 else 0.0,
+        prime_values=lambda ps: np.where(ps == 2, 2.0, 0.0),
+        powers=lambda p, k: float(2**k) if p == 2 else 0.0,
     )
     rep = determinant_bound_check(h, 2, 6, delta=0.0)
     assert rep.hypothesis_violations != ()

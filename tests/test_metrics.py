@@ -89,7 +89,7 @@ def test_distance_requires_unit_disc_values(sieve_1e4):
     big = FunctionSpec(
         name="big",
         kind=COMPLETELY_MULTIPLICATIVE,
-        rule=lambda p, k: 3.0,
+        prime_values=lambda ps: np.full(ps.shape, 3.0),
     )
     with pytest.raises(InvalidArgumentError):
         distance_classic(big, standard_spec("one"), 100, sieve=sieve_1e4)
@@ -106,6 +106,24 @@ def test_distance_strong_covers_higher_powers(sieve_1e4):
     rep2 = distance_strong(f, g, 1.0, 2, 100, sieve=sieve_1e4)
     assert rep2.total == pytest.approx(want, rel=1e-12)
     assert rep2.kind == "strong-beta-k"
+
+
+def test_distance_strong_cm_powers_match_value(sieve_1e4):
+    # the both-completely-multiplicative branch must use the f(p^j) that
+    # value() and evaluate use: general copies reading value(p, k) agree
+    from pretense.constructions import archimedean_twist
+    from pretense.core import GENERAL_MULTIPLICATIVE, FunctionSpec
+
+    def gm_copy(spec):
+        return FunctionSpec(name=spec.name, kind=GENERAL_MULTIPLICATIVE,
+                            prime_values=spec.prime_values, powers=spec.value)
+
+    # the second pair is close, so a last-bit change in f(p^j) shows in the partials
+    for f, g in ((archimedean_twist(1.25), dirichlet_character(7, 1)),
+                 (archimedean_twist(1.25), archimedean_twist(1.25 + 1e-7))):
+        cm = distance_strong(f, g, 0.5, 6, 10**4, sieve=sieve_1e4)
+        gm = distance_strong(gm_copy(f), gm_copy(g), 0.5, 6, 10**4, sieve=sieve_1e4)
+        assert cm.to_json() == gm.to_json()
 
 
 def test_distance_strong_allows_beta_above_one(sieve_1e4):
