@@ -128,9 +128,6 @@ class XiSeries:
     samples: np.ndarray
     source: Optional[PartialSumSeries] = None
 
-    def sample_pairs(self):
-        return list(zip(self.checkpoints.tolist(), self.samples.tolist()))
-
 
 def xi_from_sums(series: PartialSumSeries, alpha: float) -> XiSeries:
     """Divide out the fitted growth: xi(x_i) = S(x_i)/x_i^alpha."""

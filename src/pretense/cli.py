@@ -64,7 +64,7 @@ from .core import (
     resolve_threads,
     series_csv,
     table_csv,
-    _fmt,
+    _csv_rows,
 )
 from .degree import alpha_coeffs, degree_d_spec, recursion_residual
 from .dirichlet import dirichlet_inverse, solve_quotient
@@ -450,10 +450,7 @@ def _cmd_xi(a) -> int:
             payload = {"x": a.x, "kind": "sample", "value": [v.real, v.imag]}
         _dump_json(payload, a.out)
         return 0
-    lines = ["n_or_x,re,im,abs"]
-    for x, v in xi.sample_pairs():
-        lines.append(f"{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}")
-    _emit("\n".join(lines), a.out)
+    _emit(_csv_rows(xi.checkpoints, xi.samples), a.out)
     return 0
 
 

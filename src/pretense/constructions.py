@@ -357,10 +357,6 @@ def sparse_dyadic(base: FunctionSpec, exponents: Iterable[int]) -> FunctionSpec:
 # ---------------------------------------------------------------------------
 # calibrated phase twist
 
-def _sign(x: float) -> float:
-    return 1.0 if x >= 0 else -1.0
-
-
 def twist_sign_rule(f: FunctionSpec, cutoff: int, sieve: Optional[SieveIndex] = None):
     """Decide the phase direction for the calibrated twist of f.
 

@@ -88,9 +88,15 @@ class FunctionSpec:
 
     def rule(self, p: int, k: int) -> complex:
         """f(p^k), k >= 1.  Completely multiplicative powers multiply 1-element
-        arrays, as evaluate does: numpy may fuse multiply-adds, Python won't."""
+        arrays, as evaluate does: numpy may fuse multiply-adds, Python won't.
+        f(p) is memoized apart from value()'s cache, which holds only values
+        that passed the unit-disc check."""
         if k == 1:
-            return complex(self.prime_values(np.array([p], dtype=np.int64))[0])
+            got = self._cache.get(("prime", p))
+            if got is None:
+                got = complex(self.prime_values(np.array([p], dtype=np.int64))[0])
+                self._cache[("prime", p)] = got
+            return got
         if self.powers is None:
             return np.multiply([self.value(p, k - 1)], [self.value(p, 1)])[0]
         return self.powers(p, k)
@@ -167,7 +173,14 @@ class SieveIndex:
 
 
 def build_sieve(limit: int) -> SieveIndex:
-    """Smallest-prime-factor sieve on [2, limit]."""
+    """Smallest-prime-factor sieve on [2, limit].
+
+    The base primes p ≤ √limit come from a small boolean sieve.  Writing
+    spf[p², p² + p, ...] = p for them in descending order leaves the least
+    prime factor in every composite, with no compare and no masked write;
+    the entries left at zero from 2 on are the primes.  Besides spf, only the
+    prime list and one byte-per-n mask are allocated.
+    """
     limit = int(limit)
     if limit < 2:
         raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
@@ -181,14 +194,16 @@ def build_sieve(limit: int) -> SieveIndex:
         raise ResourceError(
             f"could not allocate {4 * (limit + 1)} bytes for the sieve"
         ) from exc
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    # untouched entries have no prime factor <= their square root: primes
-    free = spf[2:] == 0
-    spf[2:][free] = np.arange(2, limit + 1, dtype=np.int32)[free]
-    primes = (np.nonzero(free)[0] + 2).astype(np.int64)
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
+    primes = np.flatnonzero(spf == 0)[2:]
+    spf[primes] = primes
     return SieveIndex(limit=limit, spf=spf, primes=primes)
 
 

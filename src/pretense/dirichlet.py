@@ -14,6 +14,7 @@ paths are kept separate so they can check each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -194,7 +195,14 @@ def convolve_spec(f: FunctionSpec, h: FunctionSpec) -> FunctionSpec:
 
 
 def convolve_table(ft: ValueTable, ht: ValueTable, limit: Optional[int] = None) -> ValueTable:
-    """Dense (f ∗ h)(n) for n ≤ limit by direct divisor folding, O(N log N)."""
+    """Dense (f ∗ h)(n) for n ≤ limit: O(N log N) work in about 2√N numpy steps.
+
+    Dirichlet's hyperbola split at D = ⌊√limit⌋: each row d ≤ D adds
+    f(d)·h(m) at every n = dm, and each column m ≤ ⌊limit/(D+1)⌋ adds
+    f(d)·h(m) for all d > D at once.  Columns go by descending m, so every
+    out[n] receives its products f(d)·h(n/d) in ascending d, and the bits
+    equal those of the fold over every d ≤ limit.
+    """
     if ft.limit != ht.limit:
         raise InvalidArgumentError(
             f"mismatched table limits {ft.limit} != {ht.limit}"
@@ -206,26 +214,20 @@ def convolve_table(ft: ValueTable, ht: ValueTable, limit: Optional[int] = None) 
         raise InvalidArgumentError(f"limit {limit} outside [1, {ft.limit}]")
     out = np.zeros(limit + 1, dtype=np.complex128)
     fv, hv = ft.values, ht.values
-    for d in range(1, limit + 1):
+    D = math.isqrt(limit)
+    for d in range(1, D + 1):
         out[d::d] += fv[d] * hv[1 : limit // d + 1]
+    for m in range(limit // (D + 1), 0, -1):
+        top = limit // m
+        out[m * (D + 1) : m * top + 1 : m] += fv[D + 1 : top + 1] * hv[m]
     return ValueTable(spec=convolve_spec(ft.spec, ht.spec), limit=limit, values=out)
 
 
 # ---------------------------------------------------------------------------
 # Toeplitz-Hessenberg determinants
 
-def determinant(f: FunctionSpec, p: int, k: int) -> complex:
-    """D_f(k, p), the k×k determinant with entries a_ij = f(p^{i−j+1}).
-
-    Entries vanish for i − j + 1 < 0, so the matrix is lower Hessenberg with a
-    unit superdiagonal (a_{i,i+1} = f(p^0) = 1).  Repeated cofactor expansion
-    along the last column telescopes to the convolution recurrence
-
-        D_m = Σ_{j=1}^{m} (−1)^{j−1} f(p^j) D_{m−j},    D_0 = 1,
-
-    which is what we evaluate (O(k²)).  determinant_dense keeps the direct
-    O(k³) route for cross-checking.
-    """
+def _determinants(f: FunctionSpec, p: int, k: int) -> list:
+    """[D_f(0, p), ..., D_f(k, p)] by the recurrence of determinant."""
     k = int(k)
     if k < 0:
         raise InvalidArgumentError(f"determinant order must be >= 0, got {k}")
@@ -242,7 +244,22 @@ def determinant(f: FunctionSpec, p: int, k: int) -> complex:
             acc += sign * t[j] * d[m - j]
             sign = -sign
         d.append(acc)
-    return d[k]
+    return d
+
+
+def determinant(f: FunctionSpec, p: int, k: int) -> complex:
+    """D_f(k, p), the k×k determinant with entries a_ij = f(p^{i−j+1}).
+
+    Entries vanish for i − j + 1 < 0, so the matrix is lower Hessenberg with a
+    unit superdiagonal (a_{i,i+1} = f(p^0) = 1).  Repeated cofactor expansion
+    along the last column telescopes to the convolution recurrence
+
+        D_m = Σ_{j=1}^{m} (−1)^{j−1} f(p^j) D_{m−j},    D_0 = 1,
+
+    which is what we evaluate (O(k²)).  determinant_dense keeps the direct
+    O(k³) route for cross-checking.
+    """
+    return _determinants(f, p, k)[-1]
 
 
 def determinant_dense(f: FunctionSpec, p: int, k: int) -> complex:
@@ -264,14 +281,19 @@ def h_via_determinant(f: FunctionSpec, g: FunctionSpec, p: int, n: int) -> compl
     """h(p^n) for g = f ∗ h through the determinant expansion
 
         h(p^n) = Σ_{k=0}^{n−1} (−1)^k (g(p^{n−k}) − f(p^{n−k})) D_f(k, p).
+
+    D_f(0..n−1, p) come from one run of determinant's recurrence, O(n²).  Each
+    D_f(k, p) depends only on f(p^{≤k}), so the terms equal those of separate
+    determinant calls to the bit.
     """
     n = int(n)
     if n < 1:
         raise InvalidArgumentError(f"exponent must be >= 1, got {n}")
+    dets = _determinants(f, p, n - 1)
     acc = 0.0 + 0.0j
     sign = 1.0
     for k in range(n):
-        acc += sign * (g.value(p, n - k) - f.value(p, n - k)) * determinant(f, p, k)
+        acc += sign * (g.value(p, n - k) - f.value(p, n - k)) * dets[k]
         sign = -sign
     return acc
 

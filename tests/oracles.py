@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 # Bernoulli numbers B_2 .. B_12 for the Euler-Maclaurin correction
 _BERNOULLI = [
     Fraction(1, 6),
@@ -105,6 +107,16 @@ def brute_convolve(a, b):
             continue
         for j in range(1, n // i + 1):
             out[i * j] += ai * b[j]
+    return out
+
+
+def divisor_fold(fv, hv, limit: int):
+    """(f*h)(n) for n <= limit as one numpy step per d <= limit, adding the
+    products f(d) h(n/d) to each n in ascending d: the convolution kernel
+    before the hyperbola split, kept as its bit-for-bit reference."""
+    out = np.zeros(limit + 1, dtype=np.complex128)
+    for d in range(1, limit + 1):
+        out[d::d] += fv[d] * hv[1 : limit // d + 1]
     return out
 
 

@@ -131,6 +131,21 @@ def test_xi_point_lookup():
     assert obj["value"][0] == pytest.approx(123 / 123.5)
 
 
+def test_xi_profile_csv(tmp_path):
+    out = tmp_path / "xi.csv"
+    r = run_cli("xi", "--spec", "twist:1.25", "--N", "1000", "--alpha", "0.5",
+                "--checkpoints", "1,10,100,777,1000", "--out", str(out))
+    assert r.returncode == 0
+    assert out.read_bytes() == (
+        b"n_or_x,re,im,abs\n"
+        b"1,1,0,1\n"
+        b"10,-0.907079891580022,1.9703595190539283,2.169126682339059\n"
+        b"100,0.9760681294077322,-6.16519171972881,6.24197868742422\n"
+        b"777,7.2667844533241475,15.85248880412553,17.438679926416416\n"
+        b"1000,2.2660105025145882,19.646733628957556,19.776980201353243\n"
+    )
+
+
 def test_verify_table_and_artifact(tmp_path):
     r = run_cli("verify", "remark1", "--seed", "5", "--out", str(tmp_path))
     assert r.returncode == 0

@@ -56,6 +56,20 @@ def test_sieve_smallest_factor_divides():
             assert n % d != 0
 
 
+@given(st.one_of(
+    st.sampled_from([2, 3, 4]),
+    st.sampled_from(brute_primes(61)).flatmap(
+        lambda p: st.sampled_from([p * p - 1, p * p, p * p + 1])),
+))
+@settings(max_examples=25, deadline=None)
+def test_sieve_at_square_edges_matches_oracles(limit):
+    sv = build_sieve(limit)
+    assert sv.spf.dtype == np.int32 and sv.primes.dtype == np.int64
+    assert sv.primes.tolist() == brute_primes(limit)
+    want = [0, 0] + [brute_factorize(n)[0][0] for n in range(2, limit + 1)]
+    assert sv.spf.tolist() == want
+
+
 def test_power_cofactor_decomposition():
     sv = build_sieve(10**4)
     pk, rest = sv.power_cofactor()
@@ -178,6 +192,25 @@ def test_spec_powers_given_exactly_when_not_completely_multiplicative():
     half = FunctionSpec(name="half", kind=COMPLETELY_MULTIPLICATIVE,
                         prime_values=lambda ps: np.full(ps.shape, 0.5))
     assert half.rule(3, 1) == 0.5 and half.rule(3, 4) == 0.0625
+
+
+def test_rule_memoizes_the_prime_map():
+    calls = []
+
+    def prime_values(ps):
+        calls.append(ps.tolist())
+        return np.full(ps.shape, 2.0)
+
+    spec = FunctionSpec(name="big", kind=COMPLETELY_MULTIPLICATIVE,
+                        prime_values=prime_values, bounded_by_one=True)
+    assert spec.rule(5, 1) == spec.rule(5, 1) == 2.0
+    assert type(spec.rule(5, 1)) is complex
+    assert calls == [[5]]
+    # value() still checks what the memo holds
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError):
+            spec.value(5, 1)
+    assert calls == [[5]]
 
 
 def test_value_at_exponent_zero_is_one():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from pretense.dirichlet import (
 from pretense.errors import InvalidArgumentError, LimitError
 from pretense.randspecs import random_spec
 
-from oracles import brute_convolve, brute_quotient_local
+from oracles import brute_convolve, brute_quotient_local, divisor_fold
 
 
 def test_quotient_of_one_by_delta_is_moebius(sieve_1e4):
@@ -82,6 +84,34 @@ def test_convolve_table_against_brute(sieve_1e4):
     assert np.allclose(got, want, atol=1e-14)
     # moebius * one = delta
     assert got[1] == 1.0 and np.all(got[2:] == 0)
+
+
+def _near_squares(max_root):
+    return st.integers(min_value=1, max_value=max_root).flatmap(
+        lambda k: st.sampled_from([k * k - 1, k * k, k * k + 1])
+    ).filter(lambda n: n >= 1)
+
+
+@given(
+    st.one_of(st.sampled_from([1, 2, 3]), _near_squares(54),
+              st.integers(min_value=1, max_value=3000)),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(["completely-multiplicative", "general-multiplicative"]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_convolve_table_is_the_divisor_fold_to_the_bit(table_limit, seed, kind, data):
+    sv = build_sieve(max(table_limit, 2))
+    f = random_spec(2 * seed, limit=max(table_limit, 2), kind=kind)
+    h = random_spec(2 * seed + 1, limit=max(table_limit, 2), kind=kind)
+    ft, ht = evaluate(f, sv, table_limit), evaluate(h, sv, table_limit)
+    limit = data.draw(st.one_of(
+        st.just(table_limit),
+        st.integers(min_value=1, max_value=table_limit),
+        _near_squares(math.isqrt(table_limit)).filter(lambda n: n <= table_limit),
+    ))
+    got = convolve_table(ft, ht, limit).values
+    assert got.tobytes() == divisor_fold(ft.values, ht.values, limit).tobytes()
 
 
 def test_convolve_spec_is_multiplicative(sieve_1e4):
@@ -177,6 +207,29 @@ def test_h_via_determinant_matches_solver(seed):
     for p in (2, 13):
         for n in range(1, 9):
             assert abs(h_via_determinant(f, g, p, n) - q.spec.value(p, n)) <= 1e-10
+
+
+@given(st.integers(min_value=0, max_value=2**31), st.sampled_from([2, 3, 13]))
+@settings(max_examples=15, deadline=None)
+def test_h_via_determinant_is_the_per_order_determinant_sum(seed, p):
+    f = random_spec(seed * 2 + 1, limit=20, kind="general-multiplicative")
+    g = random_spec(seed * 2 + 2, limit=20, kind="general-multiplicative")
+    for n in range(1, 13):
+        want = 0.0 + 0.0j
+        sign = 1.0
+        for k in range(n):
+            want += sign * (g.value(p, n - k) - f.value(p, n - k)) * determinant(f, p, k)
+            sign = -sign
+        got = h_via_determinant(f, g, p, n)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+def test_h_via_determinant_order_cap():
+    f = standard_spec("liouville")
+    g = standard_spec("one")
+    h_via_determinant(f, g, 2, DETERMINANT_ORDER_CAP + 1)
+    with pytest.raises(LimitError):
+        h_via_determinant(f, g, 2, DETERMINANT_ORDER_CAP + 2)
 
 
 def test_determinant_bound_report():
