@@ -8,20 +8,18 @@ creep like x^{1/4}.  They change sign, so the growth is read from the
 running maximum max_{n<=x} |S(n)| rather than from |S| at single points.
 """
 
-import numpy as np
-
 from pretense import build_sieve, evaluate, geometric_checkpoints, partial_sums
 from pretense.asymptotics import growth_fit, running_max_fit
 from pretense.constructions import dirichlet_character, squarefree_restrict
+from pretense.core import running_max
 
 sieve = build_sieve(10**6)
 
 print("max |sum_{n<=x} chi(n)| over x <= 1e6, nonprincipal chi mod q:")
 for (q, idx) in [(3, 1), (4, 1), (5, 1), (5, 2), (7, 1), (12, 1)]:
     chi = dirichlet_character(q, idx)
-    table = evaluate(chi, sieve)
-    running = np.abs(np.cumsum(table.values))
-    print(f"  q = {q:<3} index {idx}:  max |S| = {running.max():8.3f}"
+    _, peak = running_max(evaluate(chi, sieve), [10**6])
+    print(f"  q = {q:<3} index {idx}:  max |S| = {peak[0]:8.3f}"
           f"   (box bound q = {q})")
 
 checkpoints = geometric_checkpoints(10**3, 10**6)

@@ -66,7 +66,7 @@ flooded = sparse_dyadic(chi4, [3, 4])
 dc = distance_classic(chi4, flooded, CUTOFF, sieve=sieve)
 table = evaluate(flooded, sieve)
 x = 2**17
-s = np.sum(table.values[1 : x + 1])
+s = partial_sums(table, [x]).sums[0]
 lo1, hi1 = flooded.params["intervals"][0]
 lo2, hi2 = flooded.params["intervals"][1]
 print(f"\nsparse dyadic flood of chi_4 on primes in "

@@ -22,6 +22,7 @@ from .core import (
     PartialSumSeries,
     ValueTable,
     checkpointed_sums,
+    running_max,
 )
 from .errors import (
     DegenerateFitError,
@@ -103,19 +104,11 @@ def running_max_fit(table: ValueTable, checkpoints) -> GrowthFit:
 
     For a sum that changes sign, |S(x_i)| at single checkpoints samples the
     oscillation as much as the size; M is nondecreasing, so its fitted
-    exponent reads the order of growth.  Checkpoints must lie in
-    [1, table.limit].
+    exponent reads the order of growth.  Checkpoints are as in running_max.
     """
-    x = np.asarray(checkpoints, dtype=np.float64)
-    idx = np.floor(x).astype(np.int64)
-    if x.size and (idx[0] < 1 or idx[-1] > table.limit):
-        raise OutOfRangeError(
-            f"checkpoints must lie in [1, {table.limit}], "
-            f"got [{x[0]:.6g}, {x[-1]:.6g}]"
-        )
-    running = np.maximum.accumulate(np.abs(table.prefix_sums()))
+    series, peaks = running_max(table, checkpoints)
     return growth_fit(PartialSumSeries(
-        checkpoints=x, sums=running[idx], summation_mode="running-max",
+        checkpoints=series.checkpoints, sums=peaks, summation_mode="running-max",
     ))
 
 

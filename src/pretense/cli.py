@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from configparser import RawConfigParser
@@ -156,9 +157,12 @@ def _parse_ints(text: str, flag: str) -> list:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        v = complex(text.replace(" ", ""))
     except ValueError:
         raise InvalidArgumentError(f"cannot parse {text!r} as a complex number")
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        raise InvalidArgumentError(f"--s must be finite, got {text!r}")
+    return v
 
 
 def _sum_mode(threads: Optional[int]) -> str:
@@ -627,13 +631,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _apply_config(argv)
         args = build_parser().parse_args(argv)
+        for name, v in vars(args).items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise InvalidArgumentError(f"--{name} must be finite, got {v}")
         if hasattr(args, "threads"):
             resolve_threads(args.threads)
         return args.fn(args)
     except PretenseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

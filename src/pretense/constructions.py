@@ -24,9 +24,9 @@ from .core import (
     SEQUENTIAL,
     SieveIndex,
     build_sieve,
+    checkpoint_positions,
     checkpointed_sums,
     evaluate,
-    geometric_checkpoints,
     prime_values_of,
 )
 from .errors import InvalidArgumentError, PretenseError, RuleError
@@ -451,6 +451,7 @@ def phase_sum_partials(
         raise InvalidArgumentError("phase sums need a completely multiplicative f")
     if not f.bounded_by_one:
         raise InvalidArgumentError("phase sums need a unit-disc f")
+    x, _ = checkpoint_positions(checkpoints, cutoff, "cutoff")
     if sieve is None:
         sieve = build_sieve(int(cutoff))
     rule_name, _ = twist_sign_rule(f, cutoff, sieve=sieve)
@@ -458,9 +459,6 @@ def phase_sum_partials(
     fp = prime_values_of(f, ps)
     om = _omega_values(rule_name, fp)
     terms = 1j * om * fp / (ps.astype(np.float64) ** tau * _loglog(ps))
-    if checkpoints is None:
-        checkpoints = geometric_checkpoints(10, cutoff)
-    x = np.asarray(checkpoints, dtype=np.float64)
     positions = np.searchsorted(ps, x, side="right")
     sums = checkpointed_sums(terms, positions, mode=SEQUENTIAL)
     return PartialSumSeries(checkpoints=x, sums=sums, summation_mode=SEQUENTIAL)

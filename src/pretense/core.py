@@ -8,11 +8,12 @@ FunctionSpec.  Everything downstream works from its prime map and powers:
     partial_sums(table, x)  S_f(x) = Σ_{n ≤ x} f(n) at checkpoints
     mean_square_sum         Σ_{n ≤ x} |f(n)|²
 
-Partial sums use the Sum2 prefix of Ogita, Rump and Oishi ("Accurate sum and
-dot product", SISC 2005) on real and imaginary parts separately, as accurate
-as summing in twice the working precision.  Its order is fixed by the data
-alone: the bits do not depend on the chunk length BLOCK, and the summation
-mode names and thread counts are validated inputs that all run this one path.
+Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
+Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
+as summing in twice the working precision, in an order fixed by the data
+alone.  checkpointed_sums gathers it at positions, ValueTable.prefix_sums
+tabulates it and running_max folds max_{n ≤ x} |S(n)| from it; the chunk length
+BLOCK, the summation mode and the thread count never change its bits.
 """
 
 from __future__ import annotations
@@ -217,10 +218,12 @@ class ValueTable:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def prefix_sums(self) -> np.ndarray:
-        """Cumulative Σ_{m ≤ n} f(m), plain left-to-right cumsum.  Cached."""
+        """S(n), 0 ≤ n ≤ limit: the Sum2 prefixes partial_sums gathers.  Cached."""
         got = self._cache.get("prefix")
         if got is None:
-            got = np.cumsum(self.values)
+            got = np.zeros(self.limit + 1, dtype=np.complex128)
+            for a, S in _sum2_chunks(self.values[1:]):
+                got[a + 1 : a + 1 + S.size] = S
             self._cache["prefix"] = got
         return got
 
@@ -341,20 +344,24 @@ def resolve_threads(threads: Optional[int]) -> int:
     return threads
 
 
-def _sum2_prefix(x: np.ndarray, positions: np.ndarray, dest: np.ndarray) -> None:
-    """dest[i] = Sum2 prefix of real x at prefix length positions[i].
+def _sum2_chunks(terms):
+    """Yield (a, S) per BLOCK terms: S[j] is the Sum2 prefix of the first
+    a + j + 1 terms, in scratch that the next chunk overwrites.
 
-    s = cumsum(x); e_i = TwoSum error of s_{i-1} + x_i; E = cumsum(e); the
-    prefix is s_p + E_p.  Chunks of BLOCK terms carry (s, E) as the leading
-    element of their buffers, so every cumsum runs left to right over the
-    whole array exactly as one unchunked cumsum would.
+    S = s + E with s = cumsum(x), E = cumsum(e), e_i the TwoSum error of
+    s_{i-1} + x_i.  Chunks carry (s, E) as the leading element of their
+    buffers, so every cumsum runs left to right over the whole array exactly
+    as one unchunked cumsum would.  Complex adds are componentwise, so both
+    parts are summed at once; if every imaginary part is zero only the real
+    part is, as Sum2 of signed zeros is +0.0.
     """
+    x = np.asarray(terms)
+    x = x if np.iscomplexobj(x) and x.imag.any() else x.real
+    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
     step = BLOCK
-    s = np.empty(step + 1)
-    e = np.empty(step + 1)
-    t = np.empty(step)
+    s, e = np.empty((2, step + 1), dtype=x.dtype)
+    t = np.empty(step, dtype=x.dtype)
     s_carry = e_carry = 0.0
-    lo = int(np.searchsorted(positions, 0, side="right"))
     for a in range(0, x.size, step):
         m = min(step, x.size - a)
         xs, sv, ev, tv = x[a : a + m], s[: m + 1], e[: m + 1], t[:m]
@@ -369,10 +376,27 @@ def _sum2_prefix(x: np.ndarray, positions: np.ndarray, dest: np.ndarray) -> None
         np.add(tv, z, out=z)  # (prev - (cur - z)) + (x - z), z = cur - prev
         ev[0] = e_carry
         np.cumsum(ev, out=ev)
-        hi = int(np.searchsorted(positions, a + m, side="right"))
-        idx = positions[lo:hi] - a
-        dest[lo:hi] = sv[idx] + ev[idx]
-        s_carry, e_carry, lo = sv[m], ev[m], hi
+        s_carry, e_carry = sv[m], ev[m]
+        yield a, np.add(cur, ev[1:], out=tv)
+
+
+def checkpoint_positions(checkpoints, limit, what: str = "table limit"):
+    """(x, floor(x)) for finite, strictly increasing checkpoints in [1, limit];
+    None stands for the geometric grid from min(10, limit) to limit."""
+    if checkpoints is None:
+        checkpoints = geometric_checkpoints(min(10, limit), limit)
+    x = np.asarray(checkpoints, dtype=np.float64)
+    if x.size == 0:
+        raise InvalidArgumentError("need at least one checkpoint")
+    if not np.all(np.isfinite(x)):
+        raise InvalidArgumentError("checkpoints must be finite")
+    if np.any(np.diff(x) <= 0):
+        raise InvalidArgumentError("checkpoints must be strictly increasing")
+    if x[0] < 1:
+        raise InvalidArgumentError(f"checkpoints start at 1, got {x[0]}")
+    if x[-1] > limit:
+        raise OutOfRangeError(f"checkpoint {x[-1]} beyond {what} {limit}")
+    return x, np.floor(x).astype(np.int64)
 
 
 def checkpointed_sums(
@@ -381,32 +405,23 @@ def checkpointed_sums(
     mode: str = SEQUENTIAL,
     threads: Optional[int] = None,
 ) -> np.ndarray:
-    """Compensated prefix sums of `terms` at sorted 0-based prefix lengths.
-
-    Real and imaginary parts each go through the Sum2 prefix of Ogita, Rump
-    and Oishi (2005), accurate as if summed in twice the working precision.
-    Real terms take the real pass alone; the result is complex128 either
-    way, with imaginary parts +0.0 for real terms.  The reduction order is
-    fixed by the data alone: mode and thread count are validated but select
-    nothing, so every mode gives the same bits.
+    """Compensated prefix sums of `terms` at sorted 0-based prefix lengths:
+    the Sum2 prefixes of _sum2_chunks, as complex128.  Mode and thread count
+    are validated but select nothing, so every mode gives the same bits.
     """
     if mode not in SUMMATION_MODES:
         raise InvalidArgumentError(f"unknown summation mode {mode!r}")
     resolve_threads(threads)
-    terms = np.asarray(terms)
-    is_complex = np.iscomplexobj(terms)
-    terms = terms.astype(np.complex128 if is_complex else np.float64, copy=False)
     positions = np.asarray(positions, dtype=np.int64)
-    if positions.size and (
-        np.any(positions[1:] < positions[:-1])
-        or positions[0] < 0
-        or positions[-1] > terms.size
-    ):
+    in_range = (positions >= 0) & (positions <= np.size(terms))
+    if np.any(np.diff(positions) < 0) or not np.all(in_range):
         raise InvalidArgumentError("prefix positions must be sorted within range")
     out = np.zeros(positions.size, dtype=np.complex128)
-    _sum2_prefix(terms.real, positions, out.real)
-    if is_complex:
-        _sum2_prefix(terms.imag, positions, out.imag)
+    lo = int(np.searchsorted(positions, 0, side="right"))
+    for a, S in _sum2_chunks(terms):
+        hi = int(np.searchsorted(positions, a + S.size, side="right"))
+        out[lo:hi] = S[positions[lo:hi] - (a + 1)]
+        lo = hi
     return out
 
 
@@ -417,22 +432,26 @@ def partial_sums(
     threads: Optional[int] = None,
 ) -> PartialSumSeries:
     """S_f(x_i) = Σ_{n ≤ x_i} f(n) at strictly increasing real checkpoints."""
-    x = np.asarray(checkpoints, dtype=np.float64)
-    if x.size == 0:
-        raise InvalidArgumentError("need at least one checkpoint")
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("checkpoints must be finite")
-    if np.any(np.diff(x) <= 0):
-        raise InvalidArgumentError("checkpoints must be strictly increasing")
-    if x[0] < 1:
-        raise InvalidArgumentError(f"checkpoints start at 1, got {x[0]}")
-    if x[-1] > table.limit:
-        raise OutOfRangeError(
-            f"checkpoint {x[-1]} beyond table limit {table.limit}"
-        )
-    positions = np.floor(x).astype(np.int64)
+    x, positions = checkpoint_positions(checkpoints, table.limit)
     sums = checkpointed_sums(table.values[1:], positions, mode=mode, threads=threads)
     return PartialSumSeries(checkpoints=x, sums=sums, summation_mode=mode, source=table)
+
+
+def running_max(table: ValueTable, checkpoints: Sequence[float]) -> tuple:
+    """(S, M) at strictly increasing checkpoints x_i: the PartialSumSeries of
+    S(x_i) and the array M_i = max_{n ≤ x_i} |S(n)|, in one Sum2 pass with
+    no temporary longer than BLOCK."""
+    x, positions = checkpoint_positions(checkpoints, table.limit)
+    sums = np.empty(x.size, dtype=np.complex128)
+    peaks = np.empty(x.size)
+    lo, best = 0, 0.0
+    for a, S in _sum2_chunks(table.values[1 : positions[-1] + 1]):
+        hi = int(np.searchsorted(positions, a + S.size, side="right"))
+        idx = positions[lo:hi] - (a + 1)
+        run = np.maximum(np.maximum.accumulate(np.abs(S)), best)
+        sums[lo:hi], peaks[lo:hi] = S[idx], run[idx]
+        lo, best = hi, run[-1]
+    return PartialSumSeries(x, sums, SEQUENTIAL, source=table), peaks
 
 
 def mean_square_sum(table: ValueTable, x: float) -> float:

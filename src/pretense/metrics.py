@@ -26,9 +26,9 @@ from .core import (
     SieveIndex,
     ValueTable,
     build_sieve,
+    checkpoint_positions,
     checkpointed_sums,
     evaluate,
-    geometric_checkpoints,
     prime_values_of,
 )
 from .errors import InvalidArgumentError, OutOfRangeError
@@ -143,20 +143,8 @@ def _verdict(slope: Optional[float]) -> str:
     return VERDICT_PLATEAU if slope < PLATEAU_SLOPE else VERDICT_GROWING
 
 
-def _checkpoints_for(cutoff: float, checkpoints) -> np.ndarray:
-    if checkpoints is not None:
-        x = np.asarray(checkpoints, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
-            raise InvalidArgumentError("checkpoints must be finite")
-        if x.size == 0 or np.any(np.diff(x) <= 0):
-            raise InvalidArgumentError("checkpoints must be strictly increasing")
-        if x[-1] > cutoff:
-            raise OutOfRangeError(f"checkpoint {x[-1]} beyond cutoff {cutoff}")
-        return x
-    return geometric_checkpoints(min(10, cutoff), cutoff)
-
-
-def _prime_report(kind, params, ps, terms, cutoffs, mode, threads) -> DistanceReport:
+def _prime_report(kind, params, ps, terms, cutoff, checkpoints, mode, threads):
+    cutoffs, _ = checkpoint_positions(checkpoints, cutoff, "cutoff")
     positions = np.searchsorted(ps, cutoffs, side="right")
     partials = checkpointed_sums(terms, positions, mode=mode, threads=threads).real
     slope = fit_tail_slope(cutoffs, partials)
@@ -225,10 +213,7 @@ def distance_beta(
     params = {"f": f.name, "g": g.name, "cutoff": cutoff}
     if _kind == "beta":
         params["beta"] = beta
-    return _prime_report(
-        _kind, params, ps, terms, _checkpoints_for(cutoff, checkpoints),
-        mode, threads,
-    )
+    return _prime_report(_kind, params, ps, terms, cutoff, checkpoints, mode, threads)
 
 
 def distance_strong(
@@ -278,8 +263,7 @@ def distance_strong(
         terms += diff / pf ** (j * beta)
     params = {"f": f.name, "g": g.name, "beta": beta, "k": k, "cutoff": cutoff}
     return _prime_report(
-        "strong-beta-k", params, ps, terms,
-        _checkpoints_for(cutoff, checkpoints), mode, threads,
+        "strong-beta-k", params, ps, terms, cutoff, checkpoints, mode, threads,
     )
 
 
@@ -439,8 +423,7 @@ def h_majorant_series(
     n[0] = 1.0  # keep the unused 0 slot finite
     mag = np.abs(table.values[: N + 1])
     w = (mag if power == "L1" else mag * mag) / n**sigma
-    x = _checkpoints_for(float(N), checkpoints)
-    positions = np.floor(x).astype(np.int64)
+    x, positions = checkpoint_positions(checkpoints, float(N), "cutoff")
     partials = checkpointed_sums(w[1:], positions, mode=mode, threads=threads).real
     slope = fit_tail_slope(x, partials)
     params = {"h": spec.name, "sigma": sigma, "N": N, "power": power}

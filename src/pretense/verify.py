@@ -43,10 +43,12 @@ from .core import (
     COMPLETELY_MULTIPLICATIVE,
     FunctionSpec,
     GENERAL_MULTIPLICATIVE,
+    PartialSumSeries,
     build_sieve,
     evaluate,
     geometric_checkpoints,
     partial_sums,
+    running_max,
 )
 from .degree import (
     degree_d_spec,
@@ -299,13 +301,11 @@ def _thm3(seed: int, threads: Optional[int]) -> List[CheckResult]:
     for qmod in range(3, 21):
         for index in range(1, euler_phi(qmod)):
             chi = dirichlet_character(qmod, index)
-            table = evaluate(chi, sv6)
-            running = float(np.max(np.abs(np.cumsum(table.values[1:]))))
+            s, peaks = running_max(evaluate(chi, sv6), np.append(grid, 10**6))
+            running = float(peaks[-1])
             ok7 = ok7 and running <= qmod
             worst_ratio = max(worst_ratio, running / qmod)
-            fit = growth_fit(
-                partial_sums(table, grid, mode=BLOCK_PARALLEL, threads=threads)
-            )
+            fit = growth_fit(PartialSumSeries(grid, s.sums[:-1], s.summation_mode))
             ok7 = ok7 and fit.exponent < 0.1
             if worst_exp is None or fit.exponent > worst_exp:
                 worst_exp = fit.exponent
@@ -505,7 +505,7 @@ def _counterexample(seed: int, threads: Optional[int]) -> List[CheckResult]:
                             mode=BLOCK_PARALLEL, threads=threads)
     x9 = float(2**17)
     table = evaluate(f, sv7, 2**17)
-    s_at = complex(np.sum(table.values[1:]))
+    s_at = complex(partial_sums(table, [x9]).sums[0])
     floor9 = 0.05 * x9 / np.log(x9)
     ok9 = dist.total <= 1.0 and abs(s_at) >= floor9
     out.append(CheckResult(

@@ -127,6 +127,15 @@ def test_xi_lookup_modes_agree_on_checkpoints(sieve_1e4):
         assert a == b
 
 
+def test_exact_xi_is_partial_sums_for_chi7_at_1e6(sieve_1e6):
+    # a plain cumsum prefix table differed at 38 of these 41 checkpoints
+    table = evaluate(dirichlet_character(7, 1), sieve_1e6)
+    xi = xi_from_sums(partial_sums(table, geometric_checkpoints(10, 10**6)), 0.5)
+    got = xi_lookup(xi, xi.checkpoints, mode=EXACT)
+    assert xi.checkpoints.size == 41
+    assert got.tobytes() == xi.samples.tobytes()
+
+
 def test_xi_exact_mode_needs_table_chain():
     t = np.geomspace(1, 10, 12)
     xi = XiSeries(alpha=0.5, checkpoints=t,

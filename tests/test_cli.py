@@ -342,3 +342,28 @@ def test_bad_construction_inputs_give_one_error_line(capsys, argv, err):
     assert time.monotonic() - t0 < 5.0  # rejected up front, not after the work
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {err}")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["hseries", "--spec", "one", "--sigma", "nan"], "--sigma must be finite"),
+    (["hseries", "--spec", "one", "--sigma", "2", "--Y", "inf"], "--Y must be finite"),
+    (["lseries", "--spec", "one", "--s", "nan", "--N", "100"], "--s must be finite"),
+    (["lseries", "--spec", "one", "--s", "2+infj", "--N", "100"], "--s must be finite"),
+    (["xi", "--spec", "one", "--N", "100", "--alpha", "nan", "--x", "50"],
+     "--alpha must be finite"),
+    (["xi", "--spec", "one", "--N", "100", "--alpha", "0.5", "--x", "inf"],
+     "--x must be finite"),
+    (["distance", "--kind", "strong", "--beta", "inf", "--spec", "one",
+      "--spec2", "one", "--N", "100"], "--beta must be finite"),
+    (["distance", "--kind", "beta", "--beta=-inf", "--spec", "one",
+      "--spec2", "one", "--N", "100"], "--beta must be finite"),
+    (["sums", "--spec", "one", "--N", "inf"], "cannot convert float infinity"),
+])
+def test_non_finite_numbers_give_one_error_line(capsys, argv, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {err}"), lines
+    assert out.out == ""

@@ -1,11 +1,13 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pretense import core
+from pretense import asymptotics, core, metrics
 from pretense.core import (
     BLOCK_PARALLEL,
     COMPLETELY_MULTIPLICATIVE,
@@ -26,11 +28,12 @@ from pretense.constructions import (
     archimedean_twist,
     dirichlet_character,
     kronecker_character,
+    phase_sum_partials,
     squarefree_restrict,
     standard_spec,
 )
 from pretense.degree import degree_d_spec
-from pretense.errors import InvalidArgumentError, LimitError, RuleError
+from pretense.errors import InvalidArgumentError, LimitError, OutOfRangeError, RuleError
 
 from oracles import (
     brute_divisor_count,
@@ -420,3 +423,192 @@ def test_threads_env_fallback(monkeypatch, sieve_1e4):
     monkeypatch.setenv("PRETENSE_THREADS", "1")
     b = partial_sums(t, np.array([1000.0]), mode=BLOCK_PARALLEL, threads=None)
     assert a.sums.tobytes() == b.sums.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one S(x): every prefix sum, prefix table and running maximum is Sum2's
+
+def _table(values) -> core.ValueTable:
+    v = np.concatenate([[0], np.asarray(values, dtype=np.complex128)])
+    return core.ValueTable(spec=standard_spec("one"), limit=v.size - 1, values=v)
+
+
+def _brute_running_max(values):
+    """Exact prefixes by math.fsum per part, and their running max of |S|."""
+    S = np.empty(values.size, dtype=np.complex128)
+    for n in range(1, values.size + 1):
+        S[n - 1] = complex(math.fsum(values.real[:n]), math.fsum(values.imag[:n]))
+    return S, np.maximum.accumulate(np.abs(S))
+
+
+def _xi_exact_is_partial_sums(table, x, alpha) -> bool:
+    series = partial_sums(table, x)
+    xi = asymptotics.xi_from_sums(series, alpha)
+    got = asymptotics.xi_lookup(xi, x, mode=asymptotics.EXACT)
+    return got.tobytes() == xi.samples.tobytes()
+
+
+# integer-valued terms up to 2^60 that cancel: Sum2 is exact on them, so it
+# equals math.fsum, while a plain cumsum loses the small terms
+_big_ints = st.builds(
+    lambda m, e: float(m) * 2.0**e,
+    st.integers(min_value=-7, max_value=7),
+    st.sampled_from((0, 1, 5, 30, 53, 60)),
+)
+
+
+@given(
+    st.lists(st.tuples(_big_ints, _big_ints), min_size=1, max_size=120),
+    st.data(),
+    st.floats(min_value=0.0, max_value=1.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_xi_reads_the_bits_partial_sums_prints(pairs, data, alpha):
+    vals = [complex(a, b) for a, b in pairs]
+    vals += [-v for v in reversed(vals)][: data.draw(st.integers(0, len(vals)))]
+    table = _table(vals)
+    picks = data.draw(st.sets(st.integers(1, table.limit), min_size=1))
+    x = np.array(sorted(picks), dtype=np.float64)
+    x[x < table.limit] += data.draw(st.sampled_from((0.0, 0.5)))
+    assert _xi_exact_is_partial_sums(table, x, alpha)
+    got = table.prefix_sums()[np.floor(x).astype(np.int64)]
+    assert got.tobytes() == partial_sums(table, x).sums.tobytes()
+
+
+def test_plain_cumsum_fails_the_exact_xi_test(monkeypatch):
+    table = _table([1e16, 1.0, 1.0, -1e16])
+    x = np.arange(1.0, 5.0)
+    assert _xi_exact_is_partial_sums(table, x, 0.5)
+    assert partial_sums(table, x).sums[-1] == 2.0
+    monkeypatch.setattr(core.ValueTable, "prefix_sums",
+                        lambda self: np.cumsum(self.values))
+    assert not _xi_exact_is_partial_sums(_table([1e16, 1.0, 1.0, -1e16]), x, 0.5)
+
+
+@given(st.lists(st.tuples(_big_ints, _big_ints), min_size=1, max_size=120),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_running_max_is_the_brute_max_of_fsum_prefixes(pairs, real):
+    vals = [complex(a, 0.0 if real else b) for a, b in pairs]
+    vals += [-v for v in reversed(vals)]  # the total cancels to zero
+    table = _table(vals)
+    S, M = _brute_running_max(table.values[1:])
+    x = np.arange(1.0, table.limit + 1)
+    series, peaks = core.running_max(table, x)
+    assert series.sums.tobytes() == S.tobytes()
+    assert peaks.tobytes() == M.tobytes()
+    assert series.sums.tobytes() == partial_sums(table, x).sums.tobytes()
+
+
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=300,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_prefix_table_and_running_max_do_not_depend_on_block(values):
+    table = _table(values)
+    x = np.arange(1.0, table.limit + 1)
+    got = []
+    for b in (1, 3, 64, core.BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "BLOCK", b)
+            series, peaks = core.running_max(table, x)
+            prefix = _table(values).prefix_sums()
+        got.append((prefix.tobytes(), series.sums.tobytes(), peaks.tobytes()))
+    assert all(g == got[0] for g in got)
+    assert got[0][0][16:] == got[0][1]  # the table is the gathered prefixes
+
+
+@given(
+    st.lists(
+        st.tuples(_scaled, st.sampled_from((0.0, -0.0)) | _scaled),
+        min_size=1,
+        max_size=200,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_complex_sum2_is_the_two_real_passes(pairs):
+    # complex adds are componentwise: one complex pass gives each part's bits
+    terms = np.array([complex(a, b) for a, b in pairs])
+    pos = np.arange(terms.size + 1)
+    got = checkpointed_sums(terms, pos)
+    assert got.real.tobytes() == checkpointed_sums(terms.real, pos).real.tobytes()
+    imag = checkpointed_sums(terms.imag, pos).real
+    assert got.imag.tobytes() == imag.tobytes()
+    assert not np.any(np.signbit(got.imag[got.imag == 0]))
+
+
+def test_zero_imaginary_parts_take_the_real_pass_alone(sieve_1e6):
+    table = evaluate(standard_spec("liouville"), sieve_1e6)
+    assert int(np.count_nonzero(np.signbit(table.values.imag))) == 499_734
+    assert next(core._sum2_chunks(table.values[1:]))[1].dtype == np.float64
+    assert next(core._sum2_chunks(np.array([1, -0.0j, 2j])))[1].dtype == np.complex128
+    x = geometric_checkpoints(1, 10**6)
+    pos = np.floor(x).astype(np.int64)
+    want = checkpointed_sums(table.values.real[1:], pos)
+    assert not np.any(want.imag) and not np.any(np.signbit(want.imag))
+    for got in (
+        partial_sums(table, x).sums,
+        core.running_max(table, x)[0].sums,
+        table.prefix_sums()[pos],
+    ):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_cumsum_lives_only_in_the_sum2_kernel():
+    """Nothing in src/pretense sums a prefix outside core._sum2_chunks."""
+    found = []
+
+    def visit(node, path, func):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else func
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "cumsum"
+                or isinstance(child, ast.Name) and child.id == "cumsum"
+                or isinstance(child, ast.Attribute) and child.attr == "accumulate"
+                and isinstance(child.value, ast.Attribute) and child.value.attr == "add"
+            ):
+                found.append((path.name, name))
+            visit(child, path, name)
+
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert found and set(found) == {("core.py", "_sum2_chunks")}, found
+
+
+def _checkpoint_consumers(sieve):
+    chi4 = dirichlet_character(4, 1)
+    table = evaluate(chi4, sieve, 10**4)
+    return {
+        "partial_sums": lambda x: partial_sums(table, x),
+        "running_max": lambda x: core.running_max(table, x),
+        "running_max_fit": lambda x: asymptotics.running_max_fit(table, x),
+        "phase_sum_partials": lambda x: phase_sum_partials(
+            chi4, tau=1.0, cutoff=10**4, checkpoints=x, sieve=sieve),
+        "distance_classic": lambda x: metrics.distance_classic(
+            chi4, standard_spec("one"), 10**4, checkpoints=x, sieve=sieve),
+        "h_majorant_series": lambda x: metrics.h_majorant_series(
+            table, 1.0, 10**4, checkpoints=x),
+    }
+
+
+@pytest.mark.parametrize("consumer", [
+    "partial_sums", "running_max", "running_max_fit", "phase_sum_partials",
+    "distance_classic", "h_majorant_series",
+])
+@pytest.mark.parametrize("x, error, match", [
+    ([10, 100, 1e9], OutOfRangeError, "checkpoint 1000000000.0 beyond"),
+    ([10, math.nan, 100], InvalidArgumentError, "must be finite"),
+    ([10, 1000, 100, 5000], InvalidArgumentError, "strictly increasing"),
+    ([10, 10, 100], InvalidArgumentError, "strictly increasing"),
+    ([0.5, 10, 100], InvalidArgumentError, "start at 1"),
+    ([], InvalidArgumentError, "at least one"),
+], ids=["beyond-limit", "nan", "unsorted", "repeated", "below-one", "empty"])
+def test_one_checkpoint_validator(sieve_1e4, consumer, x, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            _checkpoint_consumers(sieve_1e4)[consumer](x)
