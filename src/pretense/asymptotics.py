@@ -72,14 +72,19 @@ def growth_fit(series: PartialSumSeries) -> GrowthFit:
     """Least-squares fit of log|S(x_i)| against log x_i.
 
     Checkpoints with |S| < 1e-9 are dropped and counted; fewer than two
-    usable points is a degenerate fit.
+    usable points is a degenerate fit.  Checkpoints must be finite and
+    positive and the sums finite.
     """
     x = np.asarray(series.checkpoints, dtype=np.float64)
     if x.size < 4:
         raise InvalidArgumentError(
             f"growth fit needs >= 4 checkpoints on a geometric grid, got {x.size}"
         )
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise InvalidArgumentError("growth fit needs finite checkpoints > 0")
     mag = np.abs(np.asarray(series.sums))
+    if not np.all(np.isfinite(mag)):
+        raise InvalidArgumentError("growth fit needs finite sums")
     keep = mag >= ZERO_SUM_FLOOR
     dropped = int(np.sum(~keep))
     if int(np.sum(keep)) < 2:

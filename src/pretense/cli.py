@@ -58,14 +58,12 @@ from .core import (
     GENERAL_MULTIPLICATIVE,
     SEQUENTIAL,
     build_sieve,
+    csv_chunks,
     evaluate,
     geometric_checkpoints,
     partial_sums,
     read_series_csv,
     resolve_threads,
-    series_csv,
-    table_csv,
-    _csv_rows,
 )
 from .degree import alpha_coeffs, degree_d_spec, recursion_residual
 from .dirichlet import dirichlet_inverse, solve_quotient
@@ -171,15 +169,28 @@ def _sum_mode(threads: Optional[int]) -> str:
     return BLOCK_PARALLEL if threads else SEQUENTIAL
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(chunks, out: Optional[str]) -> None:
+    """Write text chunks to the file `out`, else to stdout, each as it is
+    produced, so a large CSV is never joined in memory.  A file whose
+    chunks fail midway is removed rather than left truncated."""
+    if not out:
+        sys.stdout.writelines(chunks)
+        return
+    with open(out, "w") as fh:
+        try:
+            fh.writelines(chunks)
+        except BaseException:
+            fh.close()
+            Path(out).unlink()
+            raise
+
+
+def _table_chunks(table):
+    return csv_chunks(range(1, table.limit + 1), table.values[1:])
 
 
 def _dump_json(obj, out: Optional[str]) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True), out)
+    _emit([json.dumps(obj, indent=2, sort_keys=True) + "\n"], out)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +298,7 @@ def _cmd_sieve(a) -> int:
 def _cmd_eval(a) -> int:
     spec = parse_spec_arg(a.spec)
     table = evaluate(spec, build_sieve(a.N))
-    _emit(table_csv(table), a.out)
+    _emit(_table_chunks(table), a.out)
     return 0
 
 
@@ -296,7 +307,7 @@ def _cmd_sums(a) -> int:
     table = evaluate(spec, build_sieve(a.N))
     grid = parse_checkpoints(a.checkpoints, a.N)
     series = partial_sums(table, grid, mode=_sum_mode(a.threads), threads=a.threads)
-    _emit(series_csv(series), a.out)
+    _emit(csv_chunks(series.checkpoints, series.sums), a.out)
     return 0
 
 
@@ -306,7 +317,7 @@ def _cmd_convolve(a) -> int:
     ht = evaluate(parse_spec_arg(a.spec2), sv)
     from .dirichlet import convolve_table
 
-    _emit(table_csv(convolve_table(ft, ht)), a.out)
+    _emit(_table_chunks(convolve_table(ft, ht)), a.out)
     return 0
 
 
@@ -353,7 +364,7 @@ def _cmd_distance(a) -> int:
     else:
         rep = distance_strong(f, g, a.beta, a.k, a.N, checkpoints=grid,
                               mode=mode, threads=a.threads)
-    _emit(rep.to_json(), a.out)
+    _emit([rep.to_json() + "\n"], a.out)
     return 0
 
 
@@ -371,7 +382,7 @@ def _cmd_hseries(a) -> int:
         rep = quotient_abs_series(spec, a.sigma, a.Y, truncation=a.k)
     else:
         rep = quotient_square_series(spec, a.sigma, truncation=a.k)
-    _emit(rep.to_json(), a.out)
+    _emit([rep.to_json() + "\n"], a.out)
     return 0
 
 
@@ -431,8 +442,11 @@ def _cmd_construct(a) -> int:
 
 
 def _cmd_growth_fit(a) -> int:
-    series = read_series_csv(Path(a.series).read_text())
-    _emit(growth_fit(series).to_json(), a.out)
+    try:
+        text = Path(a.series).read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{a.series} is not a text CSV: {exc}") from None
+    _emit([growth_fit(read_series_csv(text)).to_json() + "\n"], a.out)
     return 0
 
 
@@ -454,7 +468,7 @@ def _cmd_xi(a) -> int:
             payload = {"x": a.x, "kind": "sample", "value": [v.real, v.imag]}
         _dump_json(payload, a.out)
         return 0
-    _emit(_csv_rows(xi.checkpoints, xi.samples), a.out)
+    _emit(csv_chunks(xi.checkpoints, xi.samples), a.out)
     return 0
 
 
@@ -464,12 +478,12 @@ def _cmd_lseries(a) -> int:
     f = parse_spec_arg(a.spec)
     ft = evaluate(f, sv)
     if a.spec2 is None:
-        _emit(l_truncation(ft, s).to_json(), a.out)
+        _emit([l_truncation(ft, s).to_json() + "\n"], a.out)
         return 0
     g = parse_spec_arg(a.spec2)
     h = solve_quotient(f, g, primes=(2, 3, 5), max_exponent=18).spec
     check = quotient_identity_check(ft, evaluate(g, sv), evaluate(h, sv), s)
-    _emit(check.to_json(), a.out)
+    _emit([check.to_json() + "\n"], a.out)
     return 0
 
 

@@ -593,7 +593,7 @@ def spec_from_descriptor(desc: dict) -> FunctionSpec:
             get("seed", int),
             limit=get("limit", int),
             kind=get("kind", str),
-            max_exponent=get("max_exponent", int, 13),
+            max_exponent=get("max_exponent", int, None),
         )
     if kind == "random-pair":
         f, g, _ = random_pair_sparse_diff(

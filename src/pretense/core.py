@@ -7,6 +7,7 @@ FunctionSpec.  Everything downstream works from its prime map and powers:
     evaluate(spec, sieve)   dense table of f(n) for 1 ≤ n ≤ N
     partial_sums(table, x)  S_f(x) = Σ_{n ≤ x} f(n) at checkpoints
     mean_square_sum         Σ_{n ≤ x} |f(n)|²
+    csv_chunks              CSV text of (x, f) rows, one chunk per BLOCK rows
 
 Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
 Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
@@ -14,10 +15,18 @@ as summing in twice the working precision, in an order fixed by the data
 alone.  checkpointed_sums gathers it at positions, ValueTable.prefix_sums
 tabulates it and running_max folds max_{n ≤ x} |S(n)| from it; the chunk length
 BLOCK, the summation mode and the thread count never change its bits.
+
+Tables and series travel as CSV rows n_or_x,re,im,abs.  The codec is
+columnar: csv_chunks formats BLOCK rows at a time, a column per numpy pass
+(whole numbers as integers, the rest as repr), and read_series_csv parses
+the body with numpy's C parser.  The bytes are those of the plain per-row
+formatter it replaced, and a round trip keeps every bit except the sign of
+a zero, written "0", and the payload of a NaN.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -47,11 +56,11 @@ KINDS = frozenset(
 MAX_SIEVE_LIMIT = 10**8
 
 # Chunk length of the prefix summation, the cofactor recurrence, the
-# composite fill of evaluate and mean_square_sum.  Only the last bits of a
-# non-integer mean square depend on it.  The summation's three float64
-# scratch buffers (3 x 128 KiB) stay in L2.  At 2^16 that kernel was ~15%
-# slower and its freed buffers stayed resident on the heap, raising peak RSS
-# by ~1 MB in a 1e7 table workload.
+# composite fill of evaluate, mean_square_sum and the CSV writer.  Only the
+# last bits of a non-integer mean square depend on it.  The summation's
+# three float64 scratch buffers (3 x 128 KiB) stay in L2.  At 2^16 that
+# kernel was ~15% slower and its freed buffers stayed resident on the heap,
+# raising peak RSS by ~1 MB in a 1e7 table workload.
 BLOCK = 1 << 14
 
 UNIT_DISC_TOL = 1e-9
@@ -490,44 +499,93 @@ def geometric_checkpoints(lo: float, hi: float, ratio: float = GRID_RATIO) -> np
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: header n_or_x,re,im,abs with round-trip precision
+# CSV codec: header n_or_x,re,im,abs, then one row (x, Re v, Im v, |v|) per
+# point, formatted and parsed a column at a time
 
 
-def _fmt(v) -> str:
-    f = float(v)
-    if f.is_integer() and abs(f) < 2**53:
-        return str(int(f))
-    return repr(f)
+# Integers k with |k| <= _SMALL_INT are looked up rather than formatted:
+# value tables and the partial sums of bounded functions are mostly small.
+_SMALL_INT = 1 << 12
 
 
-def _csv_rows(xs, values) -> str:
-    lines = ["n_or_x,re,im,abs"]
-    for x, v in zip(xs, values):
-        v = complex(v)
-        lines.append(f"{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}")
-    return "\n".join(lines) + "\n"
+@functools.cache
+def _small_int_text() -> np.ndarray:
+    return np.array([str(k) for k in range(-_SMALL_INT, _SMALL_INT + 1)], dtype=object)
+
+
+def _int_cells(ints: np.ndarray) -> list:
+    if ints.size and np.abs(ints).max() <= _SMALL_INT:
+        return _small_int_text()[ints + _SMALL_INT].tolist()
+    return list(map(str, ints.tolist()))
+
+
+def _csv_cells(col: np.ndarray) -> list:
+    """Text of a float64 column: whole numbers of magnitude below 2^53 as
+    integers (-0.0 is "0"), every other value, NaN and ±inf included, as its
+    repr, the shortest text that reads back to the same bits."""
+    with np.errstate(invalid="ignore"):
+        whole = (np.abs(col) < 2.0**53) & (col == np.floor(col))
+    if whole.all():
+        return _int_cells(col.astype(np.int64))
+    cells = np.empty(col.size, dtype=object)
+    cells[whole] = _int_cells(col[whole].astype(np.int64))
+    cells[~whole] = list(map(float.__repr__, col[~whole].tolist()))
+    return cells.tolist()
+
+
+def csv_chunks(xs, values):
+    """Yield the CSV of rows (x_i, Re v_i, Im v_i, |v_i|): the header line, then
+    the text of each BLOCK rows, so no column outgrows BLOCK.  xs and values
+    have one entry per row; xs may be a range.
+
+    |v| is np.hypot(Re v, Im v), which gives the bits of Python's
+    abs(complex); as there, a modulus that overflows from finite parts
+    raises OverflowError.
+    """
+    yield "n_or_x,re,im,abs\n"
+    for a in range(0, len(xs), BLOCK):
+        x = xs[a : a + BLOCK]
+        if isinstance(x, range):
+            x = np.arange(x.start, x.stop)
+        v = np.asarray(values[a : a + BLOCK], dtype=np.complex128)
+        re, im = v.real, v.imag
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = np.hypot(re, im)
+        big = np.isinf(mag)
+        if big.any() and np.any(np.isfinite(re[big]) & np.isfinite(im[big])):
+            raise OverflowError("absolute value too large")
+        cols = (np.asarray(x, dtype=np.float64), re, im, mag)
+        yield "\n".join(map(",".join, zip(*map(_csv_cells, cols)))) + "\n"
 
 
 def table_csv(table: ValueTable) -> str:
-    return _csv_rows(range(1, table.limit + 1), table.values[1:])
+    return "".join(csv_chunks(range(1, table.limit + 1), table.values[1:]))
 
 
 def series_csv(series: PartialSumSeries) -> str:
-    return _csv_rows(series.checkpoints, series.sums)
+    return "".join(csv_chunks(series.checkpoints, series.sums))
 
 
 def read_series_csv(text: str) -> PartialSumSeries:
-    """Parse the CSV written by series_csv back into a series (no source table)."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].split(",")[:2] != ["n_or_x", "re"]:
+    """Parse the CSV written by series_csv back into a series (no source
+    table).  Blank lines are skipped and the body goes through numpy's C
+    parser in one call.  Each cell reads back to the bits its text denotes,
+    and the parts of each sum are set one by one, so a "-0.0" or "inf" part
+    keeps its bits.  A missing header, a row without four cells or a cell
+    that is not a number raises InvalidArgumentError."""
+    lines = list(filter(str.strip, text.splitlines()))
+    if not lines or lines[0].lstrip().split(",")[:2] != ["n_or_x", "re"]:
         raise InvalidArgumentError("missing n_or_x,re,im,abs header")
-    xs, vs = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise InvalidArgumentError(f"malformed CSV row {ln!r}")
-        xs.append(float(parts[0]))
-        vs.append(complex(float(parts[1]), float(parts[2])))
+    rows = np.empty((0, 4))
+    if len(lines) > 1:
+        try:
+            rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"malformed CSV: {exc}") from None
+    if rows.shape[1] != 4:
+        raise InvalidArgumentError(f"CSV rows have {rows.shape[1]} cells, want 4")
+    sums = np.empty(rows.shape[0], dtype=np.complex128)
+    sums.real, sums.imag = rows[:, 1], rows[:, 2]
     return PartialSumSeries(
-        checkpoints=np.asarray(xs), sums=np.asarray(vs), summation_mode=SEQUENTIAL
+        checkpoints=rows[:, 0].copy(), sums=sums, summation_mode=SEQUENTIAL
     )

@@ -8,6 +8,8 @@ reported failure is replayable from (seed, limit, kind, max_exponent) alone.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .core import (
@@ -37,15 +39,22 @@ def random_spec(
     seed: int,
     limit: int = 10**4,
     kind: str = COMPLETELY_MULTIPLICATIVE,
-    max_exponent: int = 13,
+    max_exponent: Optional[int] = None,
 ) -> FunctionSpec:
-    """Random unit-disc spec tabulated at all primes <= limit."""
+    """Random unit-disc spec tabulated at all primes <= limit.
+
+    General multiplicative specs draw f(p^k) for k <= max_exponent, by
+    default max(13, limit.bit_length() - 1): every exponent of a prime power
+    <= limit, and at least the 13 that local series to order 12 read.
+    """
     seed = int(seed)
     limit = int(limit)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if limit < 2:
         raise InvalidArgumentError("limit must be >= 2")
+    if max_exponent is None:
+        max_exponent = max(13, limit.bit_length() - 1)
     primes = build_sieve(limit).primes
     rng = np.random.default_rng(seed)
     powers = None

@@ -187,3 +187,22 @@ def brute_squarefree_char_sums(residues, limit: int, checkpoints):
                 acc += residues[n % q]
         out.append(acc)
     return out
+
+
+def _csv_cell(v) -> str:
+    f = float(v)
+    if f.is_integer() and abs(f) < 2**53:
+        return str(int(f))
+    return repr(f)
+
+
+def reference_csv(xs, values) -> str:
+    """CSV rows x,Re v,Im v,|v| formatted one row at a time in plain Python:
+    the formatter the columnar codec replaced, kept as its byte reference."""
+    lines = ["n_or_x,re,im,abs"]
+    for x, v in zip(xs, values):
+        v = complex(v)
+        lines.append(
+            f"{_csv_cell(x)},{_csv_cell(v.real)},{_csv_cell(v.imag)},{_csv_cell(abs(v))}"
+        )
+    return "\n".join(lines) + "\n"

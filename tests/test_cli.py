@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pretense import core
+from pretense.asymptotics import xi_from_sums
 from pretense.cli import ExperimentConfig, main, parse_checkpoints, parse_spec_arg
+from pretense.dirichlet import convolve_table
+
+from oracles import reference_csv
 
 
 def run_cli(*args):
@@ -367,3 +373,70 @@ def test_non_finite_numbers_give_one_error_line(capsys, argv, err):
     lines = out.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {err}"), lines
     assert out.out == ""
+
+
+@pytest.mark.parametrize("body, err", [
+    (b"n_or_x,re,im,abs\n10,abc,0,1\n", "malformed CSV: could not convert string 'abc'"),
+    (b"n_or_x,re,im,abs\n10,\xff\xfe,0,1\n", "bad.csv is not a text CSV"),
+    (b"\x89PNG\r\n\x1a\n\x00\x00", "bad.csv is not a text CSV"),
+    (b"n_or_x,re,im,abs\n10,1,0\n", "CSV rows have 3 cells, want 4"),
+    (b"10,1,0,1\n", "missing n_or_x,re,im,abs header"),
+    (b"", "missing n_or_x,re,im,abs header"),
+    (b"n_or_x,re,im,abs\n0,1,0,1\n-1,2,0,2\n3,3,0,3\n4,4,0,4\n",
+     "growth fit needs finite checkpoints > 0"),
+    (b"n_or_x,re,im,abs\n1,nan,0,1\n2,inf,0,2\n3,3,0,3\n4,4,0,4\n",
+     "growth fit needs finite sums"),
+])
+def test_growth_fit_bad_input_gives_one_error_line(tmp_path, capsys, body, err):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body)
+    assert main(["growth-fit", str(path)]) == 1
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and err in lines[0], lines
+    assert out.out == ""
+
+
+def test_overflowing_modulus_gives_one_error_line_and_no_file(tmp_path, capsys):
+    spec = ('{"construction":"tabulated","kind":"completely-multiplicative",'
+            '"values":[[2,1,1.5e308,1.5e308]]}')
+    out = tmp_path / "t.csv"
+    assert main(["eval", "--spec", spec, "--N", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: absolute value too large"]
+    assert not out.exists()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("spec", ["moebius", "char:7:1"])
+def test_cli_csv_bytes_match_reference_formatter(tmp_path, capsys, spec):
+    """eval, sums, convolve and the xi profile write the bytes of the
+    row-at-a-time formatter, over more than two BLOCKs of rows."""
+    n = 2 * core.BLOCK + 5
+    grid = ",".join(map(str, range(1, n + 1)))
+    f = parse_spec_arg(spec)
+    sv = core.build_sieve(n)
+    table = core.evaluate(f, sv)
+    series = core.partial_sums(table, np.arange(1.0, n + 1))
+    xi = xi_from_sums(series, 0.5)
+    conv = convolve_table(table, core.evaluate(parse_spec_arg("liouville"), sv))
+    rows = range(1, n + 1)
+    cases = {
+        "eval": (["eval", "--spec", spec, "--N", str(n)],
+                 reference_csv(rows, table.values[1:])),
+        "sums": (["sums", "--spec", spec, "--N", str(n), "--checkpoints", grid],
+                 reference_csv(series.checkpoints, series.sums)),
+        "convolve": (["convolve", "--spec", spec, "--spec2", "liouville", "--N", str(n)],
+                     reference_csv(rows, conv.values[1:])),
+        "xi": (["xi", "--spec", spec, "--N", str(n), "--alpha", "0.5",
+                "--checkpoints", grid],
+               reference_csv(xi.checkpoints, xi.samples)),
+    }
+    for name, (argv, want) in cases.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+        assert _sha(out.read_bytes()) == _sha(want.encode()), name
+    assert main(cases["eval"][0]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == _sha(cases["eval"][1].encode())

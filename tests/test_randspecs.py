@@ -7,6 +7,7 @@ from pretense.core import (
     build_sieve,
     evaluate,
 )
+from pretense.cli import parse_spec_arg
 from pretense.errors import RuleError
 from pretense.randspecs import random_pair_sparse_diff, random_spec
 
@@ -79,3 +80,20 @@ def test_params_record_replay_recipe():
     assert spec.params["seed"] == 21
     f, g, _ = random_pair_sparse_diff(3, limit=300, ndiff=2)
     assert f.params["role"] == "f" and g.params["role"] == "g"
+
+
+def test_gm_shorthand_tabulates_every_exponent_to_its_limit(sieve_1e6):
+    spec = parse_spec_arg("random:5:1e6:gm")
+    assert spec.params["max_exponent"] == 19  # 2^19 <= 1e6 < 2^20
+    t = evaluate(spec, sieve_1e6)
+    assert t.values[2**19] == spec.value(2, 19)
+    assert np.max(np.abs(np.abs(t.values[1:]) - 1.0)) <= 1e-12
+
+
+def test_default_max_exponent_keeps_the_limit_1e4_draws():
+    sv = build_sieve(10**4)
+    for seed in (0, 5, 1729):
+        a = random_spec(seed, limit=10**4, kind=GENERAL_MULTIPLICATIVE)
+        b = random_spec(seed, limit=10**4, kind=GENERAL_MULTIPLICATIVE, max_exponent=13)
+        assert a.params == b.params
+        assert evaluate(a, sv).values.tobytes() == evaluate(b, sv).values.tobytes()
