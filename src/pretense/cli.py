@@ -387,6 +387,8 @@ def _cmd_hseries(a) -> int:
 
 
 def _cmd_degree(a) -> int:
+    if a.k < 0:
+        raise InvalidArgumentError(f"--k must be >= 0, got {a.k}")
     names = [s for s in a.constituents.split(",") if s]
     spec = degree_d_spec([parse_spec_arg(s) for s in names])
     coeffs = alpha_coeffs(spec, a.p)

@@ -9,6 +9,10 @@ FunctionSpec.  Everything downstream works from its prime map and powers:
     mean_square_sum         Σ_{n ≤ x} |f(n)|²
     csv_chunks              CSV text of (x, f) rows, one chunk per BLOCK rows
 
+A dense table at limit N holds 4 B/n of spf, 4 B/n of the cached cofactor
+array (SieveIndex.cofactor) and the 16 B/n table; besides these, evaluate
+allocates nothing longer than BLOCK entries.
+
 Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
 Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
 as summing in twice the working precision, in an order fixed by the data
@@ -55,12 +59,12 @@ KINDS = frozenset(
 # Dense work beyond this is out of scope for a desk-scale toolkit.
 MAX_SIEVE_LIMIT = 10**8
 
-# Chunk length of the prefix summation, the cofactor recurrence, the
-# composite fill of evaluate, mean_square_sum and the CSV writer.  Only the
-# last bits of a non-integer mean square depend on it.  The summation's
-# three float64 scratch buffers (3 x 128 KiB) stay in L2.  At 2^16 that
-# kernel was ~15% slower and its freed buffers stayed resident on the heap,
-# raising peak RSS by ~1 MB in a 1e7 table workload.
+# Chunk length of the prefix summation, the cofactor recurrence, the prime
+# prefill and composite fill of evaluate, mean_square_sum and the CSV writer.
+# Only the last bits of a non-integer mean square depend on it.  The
+# summation's three float64 scratch buffers (3 x 128 KiB) stay in L2.  At
+# 2^16 that kernel was ~15% slower and its freed buffers stayed resident on
+# the heap, raising peak RSS by ~1 MB in a 1e7 table workload.
 BLOCK = 1 << 14
 
 UNIT_DISC_TOL = 1e-9
@@ -141,9 +145,9 @@ class SieveIndex:
     """Smallest prime factor for every n ≤ limit, plus the prime list.
 
     spf[n] is the least prime dividing n (spf[0] = spf[1] = 0), so spf[n] = n
-    exactly when n is prime.  Memory: 4(N+1) bytes for spf, plus two cached
-    int32 factor arrays of the same size once a dense evaluation has run;
-    building them allocates no other temporary longer than BLOCK.
+    exactly when n is prime.  Memory: 4(N+1) bytes for spf, plus one cached
+    int32 cofactor array of the same size once a dense evaluation has run;
+    building it allocates no other temporary longer than BLOCK.
     """
 
     limit: int
@@ -151,35 +155,44 @@ class SieveIndex:
     primes: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def power_cofactor(self):
-        """int32 arrays (pk, rest) with n = pk[n] * rest[n], pk[n] the full
-        power of spf[n] dividing n and gcd(spf[n], rest[n]) = 1; both are 1 at
+    def cofactor(self) -> np.ndarray:
+        """int32 rest[n]: n with the full power of spf[n] divided out, so
+        gcd(spf[n], rest[n]) = 1 and n // rest[n] is that prime power; 1 at
         n = 0, 1.  Cached after first use.
 
-        With p = spf[n] and m = n // p: pk[n] = pk[m]·p and rest[n] = rest[m]
-        when spf[m] = p, else pk[n] = p and rest[n] = m.  As m ≤ n/2, chunks
+        With p = spf[n] and m = n // p: rest[n] = rest[m] when spf[m] = p,
+        else rest[n] = m (Gries & Misra, CACM 1978).  As m ≤ n/2, chunks
         (lo, min(2·lo, lo + BLOCK, N)] taken in ascending order read only
         entries already filled, and no temporary outgrows BLOCK.
         """
-        got = self._cache.get("power_cofactor")
+        got = self._cache.get("cofactor")
         if got is not None:
             return got
         n, spf = self.limit, self.spf
-        pk = np.empty(n + 1, dtype=np.int32)
         rest = np.empty(n + 1, dtype=np.int32)
-        pk[:2] = rest[:2] = 1
+        rest[:2] = 1
         lo = 1
         while lo < n:
             hi = min(2 * lo, lo + BLOCK, n)
             p = spf[lo + 1 : hi + 1]
             m = np.arange(lo + 1, hi + 1, dtype=np.int32) // p
-            same = spf[m] == p
-            pk[lo + 1 : hi + 1] = np.where(same, pk[m] * p, p)
-            rest[lo + 1 : hi + 1] = np.where(same, rest[m], m)
+            rest[lo + 1 : hi + 1] = np.where(spf[m] == p, rest[m], m)
             lo = hi
-        pair = (pk, rest)
-        self._cache["power_cofactor"] = pair
-        return pair
+        self._cache["cofactor"] = rest
+        return rest
+
+    def power_cofactor(self):
+        """int32 arrays (pk, rest) with n = pk[n] * rest[n], pk[n] the full
+        power of spf[n] dividing n and rest = cofactor(); both are 1 at n = 0,
+        1.  pk is built on each call and not cached.  Deleted together with
+        spf once evaluation is segmented (ROADMAP item 1), which also changes
+        the benchmark that calls it.
+        """
+        rest = self.cofactor()
+        pk = np.arange(self.limit + 1, dtype=np.int32)
+        np.floor_divide(pk, rest, out=pk)
+        pk[0] = 1
+        return pk, rest
 
 
 def build_sieve(limit: int) -> SieveIndex:
@@ -270,13 +283,13 @@ def prime_values_of(spec: FunctionSpec, primes: np.ndarray) -> np.ndarray:
 def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None) -> ValueTable:
     """Dense table of f(n), 1 ≤ n ≤ limit, from the spec's prime-power values.
 
-    Primes come from the prime map, higher prime powers from powers or, when
-    completely multiplicative, cumulative products.  Every other n is the single
-    complex product f(pk[n])·f(rest[n]) of its coprime parts from
-    SieveIndex.power_cofactor; both parts are at most n/2, so chunks
-    (lo, min(2·lo, lo + BLOCK, limit)] filled in ascending order read only
-    finished entries, and no temporary outgrows BLOCK.  Cost is O(N) array
-    work after the sieve.
+    Primes come from the prime map, BLOCK primes at a time, higher prime
+    powers from powers or, when completely multiplicative, cumulative
+    products.  Every other n is the single complex product f(pk)·f(rest) of
+    its coprime parts, rest = SieveIndex.cofactor()[n] and pk = n // rest;
+    both are at most n/2, so chunks (lo, min(2·lo, lo + BLOCK, limit)] filled
+    in ascending order read only finished entries, and no temporary outgrows
+    BLOCK.  Cost is O(N) array work after the sieve.
     """
     if limit is None:
         limit = sieve.limit
@@ -295,12 +308,16 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
     if limit == 1:
         return ValueTable(spec=spec, limit=limit, values=values)
 
-    primes = sieve.primes[sieve.primes <= limit]
-    pvals = prime_values_of(spec, primes)
-    values[primes] = pvals
+    primes = sieve.primes[: np.searchsorted(sieve.primes, limit, side="right")]
+    for a in range(0, primes.size, BLOCK):
+        ps = primes[a : a + BLOCK]
+        values[ps] = prime_values_of(spec, ps)
 
+    # only primes p ≤ √limit have p² ≤ limit
+    small = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
     if spec.kind == COMPLETELY_MULTIPLICATIVE:
-        p_rem, v_rem, pp, acc = primes, pvals, primes, pvals
+        p_rem, pp = small, small
+        v_rem = acc = values[small]
         while True:
             keep = pp <= limit // p_rem
             if not keep.any():
@@ -310,8 +327,7 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
             acc = acc[keep] * v_rem
             values[pp] = acc
     else:
-        for p in primes[primes <= math.isqrt(limit)]:
-            p = int(p)
+        for p in small.tolist():
             pe = p * p
             k = 2
             while pe <= limit:
@@ -319,12 +335,16 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
                 pe *= p
                 k += 1
 
-    pk, rest = sieve.power_cofactor()
+    # The product stays a multiply of two fresh contiguous gathers: numpy's
+    # loops for a scalar, strided or aliased operand can round the last bit
+    # differently.  pk = n // r is dropped once gathered.
+    rest = sieve.cofactor()
     lo = 1
     while lo < limit:
         hi = min(2 * lo, lo + BLOCK, limit)
-        comp = np.flatnonzero(rest[lo + 1 : hi + 1] > 1) + (lo + 1)
-        values[comp] = values[pk[comp]] * values[rest[comp]]
+        r = rest[lo + 1 : hi + 1].astype(np.intp)
+        prod = values[np.arange(lo + 1, hi + 1) // r] * values[r]
+        np.copyto(values[lo + 1 : hi + 1], prod, where=r > 1)
         lo = hi
     return ValueTable(spec=spec, limit=limit, values=values)
 
@@ -522,14 +542,19 @@ def _int_cells(ints: np.ndarray) -> list:
 def _csv_cells(col: np.ndarray) -> list:
     """Text of a float64 column: whole numbers of magnitude below 2^53 as
     integers (-0.0 is "0"), every other value, NaN and ±inf included, as its
-    repr, the shortest text that reads back to the same bits."""
+    repr, the shortest text that reads back to the same bits.
+
+    repr runs once per distinct other value: those that compare equal have
+    the same bits, as ±0 are whole, and every NaN reads "nan"."""
     with np.errstate(invalid="ignore"):
         whole = (np.abs(col) < 2.0**53) & (col == np.floor(col))
     if whole.all():
         return _int_cells(col.astype(np.int64))
     cells = np.empty(col.size, dtype=object)
     cells[whole] = _int_cells(col[whole].astype(np.int64))
-    cells[~whole] = list(map(float.__repr__, col[~whole].tolist()))
+    distinct, inverse = np.unique(col[~whole], return_inverse=True)
+    text = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    cells[~whole] = text[inverse]
     return cells.tolist()
 
 
@@ -539,8 +564,9 @@ def csv_chunks(xs, values):
     have one entry per row; xs may be a range.
 
     |v| is np.hypot(Re v, Im v), which gives the bits of Python's
-    abs(complex); as there, a modulus that overflows from finite parts
-    raises OverflowError.
+    abs(complex), set to inf where a part is infinite, as abs does even
+    beside a signalling NaN, for which np.hypot gives NaN; as in abs, a
+    modulus that overflows from finite parts raises OverflowError.
     """
     yield "n_or_x,re,im,abs\n"
     for a in range(0, len(xs), BLOCK):
@@ -551,6 +577,7 @@ def csv_chunks(xs, values):
         re, im = v.real, v.imag
         with np.errstate(over="ignore", invalid="ignore"):
             mag = np.hypot(re, im)
+        mag[np.isinf(re) | np.isinf(im)] = np.inf
         big = np.isinf(mag)
         if big.any() and np.any(np.isfinite(re[big]) & np.isfinite(im[big])):
             raise OverflowError("absolute value too large")

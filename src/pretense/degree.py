@@ -27,6 +27,7 @@ from .core import (
     evaluate,
     geometric_checkpoints,
 )
+from .dirichlet import is_prime
 from .errors import InvalidArgumentError
 
 MAX_DEGREE = 16
@@ -167,9 +168,12 @@ def _declared_degree(f: FunctionSpec) -> int:
 
 
 def alpha_coeffs(f: FunctionSpec, p: int) -> SymmetricCoeffs:
-    """Recursion weights at p from the first d prime-power values alone."""
+    """Recursion weights at a prime p from the first d prime-power values
+    alone."""
     d = _declared_degree(f)
     p = int(p)
+    if not is_prime(p):
+        raise InvalidArgumentError(f"{p} is not prime")
     q = np.array([f.value(p, k) for k in range(1, d + 1)])
     r = q_to_r(q)
     alpha = np.concatenate(([1.0 + 0.0j], r))

@@ -37,7 +37,8 @@ DETERMINANT_ORDER_CAP = 64
 RECONVOLUTION_TOL = 1e-10
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
+    """Trial division; False below 2."""
     if n < 2:
         return False
     d = 2
@@ -127,7 +128,7 @@ def solve_quotient(
     if not plist:
         raise InvalidArgumentError("need at least one prime")
     for p in plist:
-        if not _is_prime(p):
+        if not is_prime(p):
             raise InvalidArgumentError(f"{p} is not prime")
     K = int(max_exponent)
     if K < 1:

@@ -206,3 +206,59 @@ def reference_csv(xs, values) -> str:
             f"{_csv_cell(x)},{_csv_cell(v.real)},{_csv_cell(v.imag)},{_csv_cell(abs(v))}"
         )
     return "\n".join(lines) + "\n"
+
+
+def pk_rest_evaluate(spec, sieve, limit=None) -> np.ndarray:
+    """Dense f(n) as evaluate built it from two cached factor arrays, pk and
+    rest, both from the spf recurrence: the prime prefill from one masked
+    copy of the prime list, completely multiplicative powers as cumulative
+    products over every prime, and each other n as the fresh product
+    f(pk[n])·f(rest[n]) of two gathers, in ascending chunks of BLOCK.  Kept
+    as the byte reference of the composite fill."""
+    from pretense import core
+
+    limit = sieve.limit if limit is None else int(limit)
+    spf = sieve.spf
+    pk = np.empty(limit + 1, dtype=np.int32)
+    rest = np.empty(limit + 1, dtype=np.int32)
+    pk[:2] = rest[:2] = 1
+    lo = 1
+    while lo < limit:
+        hi = min(2 * lo, lo + core.BLOCK, limit)
+        p = spf[lo + 1 : hi + 1]
+        m = np.arange(lo + 1, hi + 1, dtype=np.int32) // p
+        same = spf[m] == p
+        pk[lo + 1 : hi + 1] = np.where(same, pk[m] * p, p)
+        rest[lo + 1 : hi + 1] = np.where(same, rest[m], m)
+        lo = hi
+
+    values = np.zeros(limit + 1, dtype=np.complex128)
+    values[1] = 1.0
+    primes = sieve.primes[sieve.primes <= limit]
+    pvals = core.prime_values_of(spec, primes)
+    values[primes] = pvals
+    if spec.kind == core.COMPLETELY_MULTIPLICATIVE:
+        p_rem, v_rem, pp, acc = primes, pvals, primes, pvals
+        while True:
+            keep = pp <= limit // p_rem
+            if not keep.any():
+                break
+            p_rem, v_rem = p_rem[keep], v_rem[keep]
+            pp = pp[keep] * p_rem
+            acc = acc[keep] * v_rem
+            values[pp] = acc
+    else:
+        for p in primes[primes <= math.isqrt(limit)]:
+            p = int(p)
+            pe, k = p * p, 2
+            while pe <= limit:
+                values[pe] = spec.value(p, k)
+                pe *= p
+                k += 1
+    lo = 1
+    while lo < limit:
+        hi = min(2 * lo, lo + core.BLOCK, limit)
+        comp = np.flatnonzero(rest[lo + 1 : hi + 1] > 1) + (lo + 1)
+        values[comp] = values[pk[comp]] * values[rest[comp]]
+        lo = hi
+    return values

@@ -375,6 +375,22 @@ def test_non_finite_numbers_give_one_error_line(capsys, argv, err):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("p, k, err", [
+    ("0", "1", "0 is not prime"),
+    ("1", "1", "1 is not prime"),
+    ("-3", "1", "-3 is not prime"),
+    ("4", "1", "4 is not prime"),
+    ("9", "1", "9 is not prime"),
+    ("7", "-1", "--k must be >= 0, got -1"),
+])
+def test_degree_bad_prime_or_depth_gives_one_error_line(capsys, p, k, err):
+    argv = ["degree", "--constituents", "char:4:1,kron:5", f"--p={p}", f"--k={k}"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.splitlines() == [f"error: {err}"]
+    assert out.out == ""
+
+
 @pytest.mark.parametrize("body, err", [
     (b"n_or_x,re,im,abs\n10,abc,0,1\n", "malformed CSV: could not convert string 'abc'"),
     (b"n_or_x,re,im,abs\n10,\xff\xfe,0,1\n", "bad.csv is not a text CSV"),

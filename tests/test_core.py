@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from pretense.constructions import (
 )
 from pretense.degree import degree_d_spec
 from pretense.errors import InvalidArgumentError, LimitError, OutOfRangeError, RuleError
+from pretense.randspecs import random_spec
 
 from oracles import (
     brute_divisor_count,
@@ -41,6 +43,7 @@ from oracles import (
     brute_liouville,
     brute_moebius,
     brute_primes,
+    pk_rest_evaluate,
 )
 
 
@@ -130,6 +133,62 @@ def test_tables_do_not_depend_on_block(limit):
     want_pk = [1, 1] + [p**k for p, k in (brute_factorize(n)[0] for n in range(2, limit + 1))]
     assert pk.tolist() == want_pk
     assert rest.tolist() == [n // q if n else 1 for n, q in enumerate(want_pk)]
+
+
+# _TABLE_SPECS, a complex character and a tabulated general multiplicative spec
+_REFERENCE_SPECS = [spec for spec, _ in _TABLE_SPECS] + [
+    dirichlet_character(7, 1),
+    random_spec(11, limit=1100, kind=GENERAL_MULTIPLICATIVE),
+]
+
+
+@given(st.one_of(st.integers(min_value=2, max_value=1100), st.sampled_from(_CHUNK_EDGES)),
+       st.data())
+@settings(max_examples=25, deadline=None)
+def test_evaluate_matches_the_pk_rest_fill(limit, data):
+    sub = data.draw(st.integers(min_value=1, max_value=limit))
+    for b in (1, 3, 64, core.BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "BLOCK", b)
+            sv = build_sieve(limit)
+            for spec in _REFERENCE_SPECS:
+                for n in (limit, sub):
+                    got = evaluate(spec, sv, n).values
+                    assert got.tobytes() == pk_rest_evaluate(spec, sv, n).tobytes(), (
+                        b, spec.name, n)
+
+
+def test_evaluate_matches_the_pk_rest_fill_in_full_blocks():
+    limit = 4 * core.BLOCK + 5  # the last chunks are BLOCK long
+    sv = build_sieve(limit)
+    for spec in _REFERENCE_SPECS[:-1] + [
+        random_spec(12, limit=limit, kind=GENERAL_MULTIPLICATIVE),
+        random_spec(13, limit=limit, kind=COMPLETELY_MULTIPLICATIVE),
+    ]:
+        got = evaluate(spec, sv).values
+        assert got.tobytes() == pk_rest_evaluate(spec, sv).tobytes(), spec.name
+
+
+def test_evaluate_holds_the_table_and_one_cofactor_array():
+    limit = 2 * 10**5
+    sv = build_sieve(limit)
+    spec = archimedean_twist(0.7)
+    few_blocks = 4 * 16 * core.BLOCK  # four complex128 buffers of BLOCK entries
+    tracemalloc.start()
+    try:
+        evaluate(spec, sv)
+        cold = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        evaluate(spec, sv)
+        warm = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # the first call also builds the 4 B/n cofactor array
+    assert cold <= 20 * (limit + 1) + few_blocks
+    assert warm <= 16 * (limit + 1) + few_blocks
+    sv.power_cofactor()  # builds pk afresh and does not cache it
+    assert [np.asarray(v).nbytes for v in sv._cache.values()] == [4 * (limit + 1)]
 
 
 def test_sieve_limit_guard():

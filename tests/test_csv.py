@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pretense import core
 from pretense.core import (
@@ -29,9 +29,20 @@ EDGES = [
     4096.0, -4096.0, 4097.0, -4097.0, 0.5, -0.5, 1.5e308, 1.7976931348623157e308,
 ]
 
-bit_patterns = st.integers(0, 2**64 - 1).map(
-    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]
-)
+
+def _from_bits(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", b))[0]
+
+
+# quiet and signalling, positive and negative: every NaN is one distinct
+# value to np.unique and one "nan" cell
+NAN_PAYLOADS = [_from_bits(b) for b in (
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+    0x7FF0000000000001, 0xFFF4000000000000, 0xFFFFFFFFFFFFFFFF,
+)]
+EDGES += NAN_PAYLOADS
+
+bit_patterns = st.integers(0, 2**64 - 1).map(_from_bits)
 cells = st.one_of(
     bit_patterns,
     st.sampled_from(EDGES),
@@ -60,11 +71,18 @@ def _assert_same_text(xs, values):
     assert _write(xs, values) == want
 
 
-@given(st.sampled_from((1, 3, 64)), st.data())
+@given(st.sampled_from((1, 3, 64)), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_writer_matches_reference_on_any_bits(block, data):
+def test_writer_matches_reference_on_any_bits(block, repeated, data):
     n = data.draw(st.sampled_from((0, 1, block - 1, block, block + 1, 2 * block + 1)))
-    rows = data.draw(st.lists(st.tuples(cells, cells, cells), min_size=n, max_size=n))
+    # repeated: every cell from a pool of a few values, so chunks hold
+    # repeated non-integers, infinities and NaN payloads
+    pool = cells
+    if repeated:
+        pool = st.sampled_from(data.draw(st.lists(
+            st.one_of(cells, st.sampled_from(NAN_PAYLOADS + [math.inf, -math.inf])),
+            min_size=1, max_size=4)))
+    rows = data.draw(st.lists(st.tuples(pool, pool, pool), min_size=n, max_size=n))
     xs = np.array([r[0] for r in rows], dtype=np.float64)
     values = _complex([r[1] for r in rows], [r[2] for r in rows])
     with pytest.MonkeyPatch.context() as mp:
@@ -93,6 +111,8 @@ def test_table_csv_matches_reference_on_value_tables(sieve_1e4):
 
 
 @given(cells, cells)
+@example(math.inf, NAN_PAYLOADS[3])  # np.hypot gives NaN beside a signalling NaN
+@example(NAN_PAYLOADS[4], -math.inf)
 @settings(max_examples=500, deadline=None)
 def test_abs_column_is_abs_complex(re, im):
     """|v| has the bits of Python's abs(complex), and overflows where it does."""

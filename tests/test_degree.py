@@ -119,6 +119,15 @@ def test_perturbed_member_is_detected():
     assert recursion_residual(bad, 7, 2) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [0, 1, -3, 4, 9])
+def test_recursion_rejects_a_non_prime(p):
+    tau = degree_d_spec([dirichlet_character(4, 1), standard_spec("one")])
+    with pytest.raises(InvalidArgumentError, match=f"{p} is not prime"):
+        alpha_coeffs(tau, p)
+    with pytest.raises(InvalidArgumentError, match=f"{p} is not prime"):
+        recursion_residual(tau, p, 1)
+
+
 def test_perturbation_at_depth_zero_is_structurally_invisible():
     # alpha is fitted from the first d+1 local values, the perturbed one
     # included, so the depth-0 instance is satisfied exactly whatever the
