@@ -409,8 +409,12 @@ def _cmd_construct(a) -> int:
     if name in _STANDARD_NAMES:
         spec = standard_spec(name)
     elif name == "character":
+        if a.q is None:
+            raise InvalidArgumentError("character needs --q")
         spec = dirichlet_character(a.q, a.index)
     elif name == "kronecker":
+        if a.D is None:
+            raise InvalidArgumentError("kronecker needs --D")
         spec = kronecker_character(a.D)
     elif name == "archimedean-twist":
         spec = archimedean_twist(a.t)

@@ -10,8 +10,10 @@ FunctionSpec.  Everything downstream works from its prime map and powers:
     csv_chunks              CSV text of (x, f) rows, one chunk per BLOCK rows
 
 A dense table at limit N holds 4 B/n of spf, 4 B/n of the cached cofactor
-array (SieveIndex.cofactor) and the 16 B/n table; besides these, evaluate
-allocates nothing longer than BLOCK entries.
+array (SieveIndex.cofactor) and an 8 or 16 B/n table: float64 when every
+f(p^k) ≤ N is real, complex128 otherwise.  Besides these, evaluate allocates
+nothing longer than BLOCK entries, apart from the prime values of a spec
+that is real at every prime, held until the table exists.
 
 Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
 Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
@@ -232,7 +234,8 @@ def build_sieve(limit: int) -> SieveIndex:
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Dense f(n) for 1 ≤ n ≤ limit (values[0] is unused and zero)."""
+    """Dense f(n) for 1 ≤ n ≤ limit (values[0] is unused and zero): float64
+    when f(p^k) is real at every prime power ≤ limit, else complex128."""
 
     spec: FunctionSpec
     limit: int
@@ -280,15 +283,51 @@ def prime_values_of(spec: FunctionSpec, primes: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _prime_power_values(spec: FunctionSpec, small: np.ndarray, fsmall: np.ndarray, limit: int):
+    """(positions, values) of f(p^k), k >= 2 and p^k ≤ limit, for the primes
+    small ≤ √limit with f(small) = fsmall: cumulative products when
+    completely multiplicative, else spec.value.  complex128, as value() gives
+    them."""
+    if spec.kind == COMPLETELY_MULTIPLICATIVE:
+        pos, got = [small[:0]], [fsmall[:0]]
+        p_rem, pp, v_rem, acc = small, small, fsmall, fsmall
+        while True:
+            keep = pp <= limit // p_rem
+            if not keep.any():
+                break
+            p_rem, v_rem = p_rem[keep], v_rem[keep]
+            pp = pp[keep] * p_rem
+            acc = acc[keep] * v_rem
+            pos.append(pp)
+            got.append(acc)
+        return np.concatenate(pos), np.concatenate(got)
+    pos, got = [], []
+    for p in small.tolist():
+        pe, k = p * p, 2
+        while pe <= limit:
+            pos.append(pe)
+            got.append(spec.value(p, k))
+            pe *= p
+            k += 1
+    return np.array(pos, dtype=np.int64), np.array(got, dtype=np.complex128)
+
+
 def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None) -> ValueTable:
     """Dense table of f(n), 1 ≤ n ≤ limit, from the spec's prime-power values.
 
+    The table is float64 when f(p) and f(p^k) have a zero imaginary part (of
+    either sign) at every prime power ≤ limit, vacuously at limit 1, and
+    complex128 otherwise.  A real table holds the real parts of the complex
+    one: the same bits, except that the sign of a zero may differ.
+
     Primes come from the prime map, BLOCK primes at a time, higher prime
     powers from powers or, when completely multiplicative, cumulative
-    products.  Every other n is the single complex product f(pk)·f(rest) of
-    its coprime parts, rest = SieveIndex.cofactor()[n] and pk = n // rest;
-    both are at most n/2, so chunks (lo, min(2·lo, lo + BLOCK, limit)] filled
-    in ascending order read only finished entries, and no temporary outgrows
+    products.  Prime values are held, chunk by chunk, until one is not real,
+    so the powers are asked before the table exists only when every prime
+    value is real.  Every other n is the single product f(pk)·f(rest) of its
+    coprime parts, rest = SieveIndex.cofactor()[n] and pk = n // rest; both
+    are at most n/2, so chunks (lo, min(2·lo, lo + BLOCK, limit)] filled in
+    ascending order read only finished entries, and no temporary outgrows
     BLOCK.  Cost is O(N) array work after the sieve.
     """
     if limit is None:
@@ -298,42 +337,38 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
         raise InvalidArgumentError(
             f"evaluate limit {limit} outside [1, sieve limit {sieve.limit}]"
         )
-    try:
-        values = np.zeros(limit + 1, dtype=np.complex128)
-    except MemoryError as exc:
-        raise ResourceError(
-            f"could not allocate {16 * (limit + 1)} bytes for the value table"
-        ) from exc
-    values[1] = 1.0
     if limit == 1:
-        return ValueTable(spec=spec, limit=limit, values=values)
-
+        return ValueTable(spec=spec, limit=limit, values=np.array([0.0, 1.0]))
     primes = sieve.primes[: np.searchsorted(sieve.primes, limit, side="right")]
-    for a in range(0, primes.size, BLOCK):
-        ps = primes[a : a + BLOCK]
-        values[ps] = prime_values_of(spec, ps)
-
     # only primes p ≤ √limit have p² ≤ limit
     small = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
-    if spec.kind == COMPLETELY_MULTIPLICATIVE:
-        p_rem, pp = small, small
-        v_rem = acc = values[small]
-        while True:
-            keep = pp <= limit // p_rem
-            if not keep.any():
-                break
-            p_rem, v_rem = p_rem[keep], v_rem[keep]
-            pp = pp[keep] * p_rem
-            acc = acc[keep] * v_rem
-            values[pp] = acc
-    else:
-        for p in small.tolist():
-            pe = p * p
-            k = 2
-            while pe <= limit:
-                values[pe] = spec.value(p, k)
-                pe *= p
-                k += 1
+    held, powers = [], None
+    for a in range(0, primes.size, BLOCK):
+        held.append(prime_values_of(spec, primes[a : a + BLOCK]))
+        if held[-1].imag.any():
+            break
+    else:  # the leading chunks hold f at the primes ≤ √limit
+        fsmall = np.concatenate(held[: small.size // BLOCK + 1])[: small.size]
+        powers = _prime_power_values(spec, small, fsmall, limit)
+    real = powers is not None and not powers[1].imag.any()
+    dtype = np.float64 if real else np.complex128
+    cast = np.real if real else np.asarray
+    try:
+        values = np.zeros(limit + 1, dtype=dtype)
+    except MemoryError as exc:
+        raise ResourceError(
+            f"could not allocate {np.dtype(dtype).itemsize * (limit + 1)} bytes"
+            " for the value table"
+        ) from exc
+    values[1] = 1.0
+
+    held.reverse()  # each held chunk is freed once written
+    for a in range(0, primes.size, BLOCK):
+        ps = primes[a : a + BLOCK]
+        values[ps] = cast(held.pop() if held else prime_values_of(spec, ps))
+    if powers is None:
+        powers = _prime_power_values(spec, small, values[small], limit)
+    values[powers[0]] = cast(powers[1])
 
     # The product stays a multiply of two fresh contiguous gathers: numpy's
     # loops for a scalar, strided or aliased operand can round the last bit

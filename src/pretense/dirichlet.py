@@ -37,15 +37,34 @@ DETERMINANT_ORDER_CAP = 64
 RECONVOLUTION_TOL = 1e-10
 
 
+# The first 12 primes: as Miller-Rabin bases they admit no strong pseudoprime
+# below 318665857834031151167461 ≈ 3.2·10^23 (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; False below 2."""
+    """Deterministic Miller-Rabin to the first 12 prime bases; False below 2.
+    Exact below 3.2·10^23, which covers every 64-bit integer; above that, a
+    strong probable-prime test to those bases."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -202,7 +221,8 @@ def convolve_table(ft: ValueTable, ht: ValueTable, limit: Optional[int] = None) 
     f(d)·h(m) at every n = dm, and each column m ≤ ⌊limit/(D+1)⌋ adds
     f(d)·h(m) for all d > D at once.  Columns go by descending m, so every
     out[n] receives its products f(d)·h(n/d) in ascending d, and the bits
-    equal those of the fold over every d ≤ limit.
+    equal those of the fold over every d ≤ limit.  The table is float64 when
+    both inputs are.
     """
     if ft.limit != ht.limit:
         raise InvalidArgumentError(
@@ -213,8 +233,8 @@ def convolve_table(ft: ValueTable, ht: ValueTable, limit: Optional[int] = None) 
     limit = int(limit)
     if limit < 1 or limit > ft.limit:
         raise InvalidArgumentError(f"limit {limit} outside [1, {ft.limit}]")
-    out = np.zeros(limit + 1, dtype=np.complex128)
     fv, hv = ft.values, ht.values
+    out = np.zeros(limit + 1, dtype=np.result_type(fv, hv))
     D = math.isqrt(limit)
     for d in range(1, D + 1):
         out[d::d] += fv[d] * hv[1 : limit // d + 1]

@@ -113,8 +113,9 @@ def brute_convolve(a, b):
 def divisor_fold(fv, hv, limit: int):
     """(f*h)(n) for n <= limit as one numpy step per d <= limit, adding the
     products f(d) h(n/d) to each n in ascending d: the convolution kernel
-    before the hyperbola split, kept as its bit-for-bit reference."""
-    out = np.zeros(limit + 1, dtype=np.complex128)
+    before the hyperbola split, kept as its bit-for-bit reference.  Real
+    tables give a real fold."""
+    out = np.zeros(limit + 1, dtype=np.result_type(fv, hv))
     for d in range(1, limit + 1):
         out[d::d] += fv[d] * hv[1 : limit // d + 1]
     return out
@@ -208,13 +209,26 @@ def reference_csv(xs, values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pk_rest_evaluate(spec, sieve, limit=None) -> np.ndarray:
+def real_at_prime_powers(spec, limit: int) -> bool:
+    """Whether value(p, k) has a zero imaginary part at every p^k <= limit."""
+    for p in brute_primes(limit):
+        pk, k = p, 1
+        while pk <= limit:
+            if spec.value(p, k).imag != 0:
+                return False
+            pk, k = pk * p, k + 1
+    return True
+
+
+def pk_rest_evaluate(spec, sieve, limit=None, dtype=np.complex128) -> np.ndarray:
     """Dense f(n) as evaluate built it from two cached factor arrays, pk and
     rest, both from the spf recurrence: the prime prefill from one masked
     copy of the prime list, completely multiplicative powers as cumulative
     products over every prime, and each other n as the fresh product
     f(pk[n])·f(rest[n]) of two gathers, in ascending chunks of BLOCK.  Kept
-    as the byte reference of the composite fill."""
+    as the byte reference of the composite fill.  Prime-power values are
+    complex, as value() gives them; a float64 table keeps their real parts
+    and forms the products of the fill in real arithmetic."""
     from pretense import core
 
     limit = sieve.limit if limit is None else int(limit)
@@ -255,6 +269,7 @@ def pk_rest_evaluate(spec, sieve, limit=None) -> np.ndarray:
                 values[pe] = spec.value(p, k)
                 pe *= p
                 k += 1
+    values = values.real.copy() if dtype == np.float64 else values
     lo = 1
     while lo < limit:
         hi = min(2 * lo, lo + core.BLOCK, limit)

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +343,8 @@ def test_thread_count_errors_give_one_error_line(capsys, monkeypatch):
       '"kind":"completely-multiplicative"}', "--N", "100"], "seed must be >= 0"),
     (["sums", "--spec", '{"construction":"random-pair","seed":-3,"limit":100,'
       '"ndiff":2}', "--N", "100"], "seed must be >= 0"),
+    (["quotient", "--spec", "one", "--spec2", "delta", "--primes", "2,3215031751"],
+     "3215031751 is not prime"),
 ])
 def test_bad_construction_inputs_give_one_error_line(capsys, argv, err):
     t0 = time.monotonic()
@@ -381,6 +385,7 @@ def test_non_finite_numbers_give_one_error_line(capsys, argv, err):
     ("-3", "1", "-3 is not prime"),
     ("4", "1", "4 is not prime"),
     ("9", "1", "9 is not prime"),
+    ("3825123056546413051", "1", "3825123056546413051 is not prime"),
     ("7", "-1", "--k must be >= 0, got -1"),
 ])
 def test_degree_bad_prime_or_depth_gives_one_error_line(capsys, p, k, err):
@@ -456,3 +461,141 @@ def test_cli_csv_bytes_match_reference_formatter(tmp_path, capsys, spec):
         assert _sha(out.read_bytes()) == _sha(want.encode()), name
     assert main(cases["eval"][0]) == 0
     assert _sha(capsys.readouterr().out.encode()) == _sha(cases["eval"][1].encode())
+
+
+# ---------------------------------------------------------------------------
+# fuzzing argv and descriptors: every input exits 0, 1 or 2, a failure says
+# so in one error line, and nothing escapes as a traceback
+
+_SMALL_INTS = st.integers(min_value=-3, max_value=40)
+_NUMBER_TEXT = st.one_of(
+    st.integers(min_value=-5, max_value=1000).map(str),
+    st.floats(min_value=-2.0, max_value=1e3).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e3", "2.5", "x", "", "1+2j", "0"]),
+)
+
+
+def _descriptors():
+    field = st.one_of(_SMALL_INTS, st.floats(allow_nan=True, allow_infinity=True),
+                      st.text(max_size=4), st.none(), st.booleans(),
+                      st.lists(_SMALL_INTS, max_size=3))
+    leaf = st.fixed_dictionaries(
+        {"construction": st.sampled_from([
+            "one", "delta", "moebius", "liouville", "character", "kronecker",
+            "archimedean-twist", "random", "random-pair", "tabulated", "mystery"])},
+        optional={
+            "q": _SMALL_INTS, "index": _SMALL_INTS, "D": _SMALL_INTS,
+            "t": field, "seed": _SMALL_INTS, "limit": st.integers(-2, 1000),
+            "kind": st.sampled_from(["completely-multiplicative",
+                                     "general-multiplicative", "tabulated", "x"]),
+            "ndiff": _SMALL_INTS, "role": st.sampled_from(["f", "g", "h"]),
+            "max_exponent": _SMALL_INTS,
+            "values": st.lists(st.lists(field, max_size=4), max_size=3),
+        },
+    )
+
+    def wrap(inner):
+        return st.one_of(
+            st.fixed_dictionaries({"construction": st.just("squarefree-restrict")},
+                                  optional={"base": inner}),
+            st.fixed_dictionaries({"construction": st.just("sparse-dyadic")},
+                                  optional={"base": inner,
+                                            "exponents": st.lists(_SMALL_INTS, max_size=3)}),
+            st.fixed_dictionaries({"construction": st.just("optimality-twist"),
+                                   "diagnostics_cutoff": st.integers(-2, 1000)},
+                                  optional={"base": inner, "beta": field}),
+            st.fixed_dictionaries({"construction": st.just("degree-d")},
+                                  optional={"constituents": st.lists(inner, max_size=3)}),
+        )
+
+    return st.recursive(leaf, wrap, max_leaves=4)
+
+
+_SPEC_TEXT = st.one_of(
+    st.sampled_from(["one", "delta", "moebius", "liouville", "char:4:1", "char:7:3",
+                     "char:4:9", "kron:-3", "kron:5", "kron:6", "twist:0.5", "twist:x",
+                     "random:3:100:gm", "random:3:100:zz", "char:5"]),
+    _descriptors().map(json.dumps),
+    st.text(max_size=12).filter(lambda s: not s.strip().startswith("@")
+                                and not s.strip().endswith(".json")),
+)
+
+_FLAG_VALUES = {
+    "--N": st.integers(min_value=-5, max_value=1000).map(str) | _NUMBER_TEXT,
+    "--spec": _SPEC_TEXT, "--spec2": _SPEC_TEXT, "--constituents": _SPEC_TEXT,
+    "--beta": _NUMBER_TEXT, "--sigma": _NUMBER_TEXT, "--Y": _NUMBER_TEXT,
+    "--alpha": _NUMBER_TEXT, "--x": _NUMBER_TEXT, "--t": _NUMBER_TEXT,
+    "--s": _NUMBER_TEXT,
+    "--k": _SMALL_INTS.map(str) | _NUMBER_TEXT,
+    "--q": _SMALL_INTS.map(str), "--index": _SMALL_INTS.map(str),
+    "--D": _SMALL_INTS.map(str), "--seed": _SMALL_INTS.map(str),
+    "--threads": st.sampled_from(["-1", "0", "1", "2", "x"]),
+    "--p": st.sampled_from(["2", "3", "4", "-7", "97", "3825123056546413051", "y"]),
+    "--primes": st.sampled_from(["2,3", "2,y", "4", "", "3215031751", "2,3,5"]),
+    "--checkpoints": st.sampled_from(["10,100", "1:1e3", "5,5", "nan", "100,10",
+                                      "1e3:1e6", "x", "1:2", "0,1"]),
+    "--intervals": st.sampled_from(["2,3", "2,x", "9", ""]),
+    "--kind": st.sampled_from(["classic", "beta", "strong", "x"]),
+    "--mode": st.sampled_from(["exact", "nearest", "x"]),
+    "--power": st.sampled_from(["L1", "L2", "L3"]),
+}
+
+_COMMANDS = {
+    "sieve": ["--N"],
+    "eval": ["--spec", "--N"],
+    "sums": ["--spec", "--N", "--checkpoints", "--threads"],
+    "convolve": ["--spec", "--spec2", "--N"],
+    "quotient": ["--spec", "--spec2", "--primes", "--k"],
+    "inverse": ["--spec", "--primes", "--k"],
+    "distance": ["--kind", "--spec", "--spec2", "--beta", "--k", "--N",
+                 "--checkpoints", "--threads"],
+    "hseries": ["--power", "--spec", "--spec2", "--sigma", "--Y", "--N", "--k"],
+    "degree": ["--constituents", "--p", "--k"],
+    "construct": ["--q", "--index", "--t", "--D", "--intervals",
+                  "--constituents", "--spec", "--beta", "--seed", "--N"],
+    "xi": ["--x", "--spec", "--spec2", "--N", "--alpha", "--checkpoints", "--mode"],
+    "lseries": ["--s", "--spec", "--spec2", "--N"],
+}
+
+_CONSTRUCT_NAMES = ["one", "moebius", "character", "kronecker", "archimedean-twist",
+                    "sparse-dyadic", "optimality-twist", "squarefree-restrict",
+                    "random", "degree-d", "mystery"]
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(sorted(_COMMANDS) + ["growth-fit", "verify", "nope"]))
+    argv = [cmd]
+    if cmd == "construct":  # the twist's diagnostics would default to 1e7 primes
+        argv += [draw(st.sampled_from(_CONSTRUCT_NAMES)),
+                 f"--cutoff={draw(st.integers(min_value=1, max_value=1000))}"]
+    elif cmd == "growth-fit":
+        argv.append("no-such-dir/sums.csv")
+    elif cmd == "verify":
+        argv.append(draw(st.sampled_from(["thm0", "nope", ""])))
+    flags = _COMMANDS.get(cmd, [])
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True)) if flags else []:
+        argv.append(f"{flag}={draw(_FLAG_VALUES[flag])}")
+    # the dense commands run at N <= 1e3: lseries would default to 1e5
+    if "--N" in flags and not any(a.startswith("--N=") for a in argv):
+        argv.append(f"--N={draw(st.integers(min_value=2, max_value=1000))}")
+    if draw(st.booleans()) and draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "--N", "-q"])))
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_cleanly_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    text = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, text)
+    assert "Traceback" not in text + out.getvalue(), argv
+    if code != 0:
+        assert sum("error:" in line for line in text.splitlines()) == 1, (argv, text)

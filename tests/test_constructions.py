@@ -21,21 +21,36 @@ from pretense.constructions import (
     tabulated_spec,
     twist_sign_rule,
 )
+from pretense import core
 from pretense.core import (
     COMPLETELY_MULTIPLICATIVE,
     GENERAL_MULTIPLICATIVE,
+    ValueTable,
     build_sieve,
     evaluate,
     geometric_checkpoints,
     partial_sums,
     prime_values_of,
+    table_csv,
 )
 from pretense.degree import degree_d_spec, perturbed_member
-from pretense.dirichlet import convolve_spec, dirichlet_inverse, solve_quotient
+from pretense.dirichlet import (
+    convolve_spec,
+    convolve_table,
+    dirichlet_inverse,
+    solve_quotient,
+)
 from pretense.errors import InvalidArgumentError, OutOfRangeError
 from pretense.randspecs import random_pair_sparse_diff, random_spec
 
-from oracles import brute_factorize, brute_moebius, brute_squarefree_char_sums
+from oracles import (
+    brute_factorize,
+    brute_moebius,
+    brute_squarefree_char_sums,
+    divisor_fold,
+    pk_rest_evaluate,
+    real_at_prime_powers,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +359,8 @@ def _zoo():
         dirichlet_inverse(rand_gm),
         convolve_spec(archimedean_twist(0.5), standard_spec("liouville")),
         perturbed_member(chi7, 3, 1, 0.25),
+        squarefree_restrict(chi4),
+        degree_d_spec([kronecker_character(-4), kronecker_character(-3)]),
     )
 
 
@@ -363,13 +380,56 @@ def test_prime_powers_have_one_definition(n, data):
     assert np.array_equal(
         _bits(prime_values_of(spec, ps)), _bits([spec.value(p, 1) for p in ps.tolist()])
     )
+    # a float64 table holds the real bits of values whose imaginary part is 0
+    real = table.dtype == np.float64
     for p in ps.tolist():
         pk, k = p, 1
         while pk <= n:
-            want = _bits([table[pk]])
-            assert np.array_equal(want, _bits([spec.value(p, k)])), (spec.name, p, k)
-            assert np.array_equal(want, _bits([spec.rule(p, k)])), (spec.name, p, k)
+            got = table[pk : pk + 1].view(np.uint64)
+            for v in (spec.value(p, k), spec.rule(p, k)):
+                want = _bits([v])
+                if real:
+                    assert complex(v).imag == 0, (spec.name, p, k)
+                    want = want[:1]
+                assert np.array_equal(got, want), (spec.name, p, k)
             pk, k = pk * p, k + 1
+
+
+@lru_cache(maxsize=None)
+def _real_zoo():
+    return tuple(s for s in _zoo() if real_at_prime_powers(s, ZOO_LIMIT))
+
+
+@given(st.integers(min_value=1, max_value=ZOO_LIMIT), st.data())
+@settings(max_examples=30, deadline=None)
+def test_tables_are_real_exactly_when_every_prime_power_value_is(n, data):
+    spec = data.draw(st.sampled_from(_zoo()), label="spec")
+    other = data.draw(st.sampled_from(_real_zoo()), label="other")
+    real = real_at_prime_powers(spec, n)
+    for b in (1, 3, 64, core.BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "BLOCK", b)
+            sieve = build_sieve(max(n, 2))
+            table = evaluate(spec, sieve, n)
+            ref = pk_rest_evaluate(spec, sieve, n)
+            assert table.values.dtype == (np.float64 if real else np.complex128), b
+            if not real:
+                assert table.values.tobytes() == ref.tobytes(), b
+                continue
+            # the real parts of the complex reference, up to the sign of a zero
+            moved = table.values.view(np.uint64) != ref.real.view(np.uint64)
+            assert np.array_equal(table.values, ref.real), b
+            assert not np.any(table.values[moved]), b
+    assert table_csv(table) == table_csv(ValueTable(spec, n, ref))
+    ot = evaluate(other, sieve, n)
+    assert ot.values.dtype == np.float64
+    got = convolve_table(table, ot).values
+    if real:
+        assert got.dtype == np.float64
+        want = divisor_fold(ref, pk_rest_evaluate(other, sieve, n), n).real
+    else:
+        want = divisor_fold(table.values, ot.values, n)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_tabulated_cm_table_lists_primes_only():

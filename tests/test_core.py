@@ -44,6 +44,7 @@ from oracles import (
     brute_moebius,
     brute_primes,
     pk_rest_evaluate,
+    real_at_prime_powers,
 )
 
 
@@ -142,6 +143,10 @@ _REFERENCE_SPECS = [spec for spec, _ in _TABLE_SPECS] + [
 ]
 
 
+def _table_dtype(spec, limit):
+    return np.float64 if real_at_prime_powers(spec, limit) else np.complex128
+
+
 @given(st.one_of(st.integers(min_value=2, max_value=1100), st.sampled_from(_CHUNK_EDGES)),
        st.data())
 @settings(max_examples=25, deadline=None)
@@ -152,10 +157,11 @@ def test_evaluate_matches_the_pk_rest_fill(limit, data):
             mp.setattr(core, "BLOCK", b)
             sv = build_sieve(limit)
             for spec in _REFERENCE_SPECS:
-                for n in (limit, sub):
+                for n in (limit, sub, 1):
                     got = evaluate(spec, sv, n).values
-                    assert got.tobytes() == pk_rest_evaluate(spec, sv, n).tobytes(), (
-                        b, spec.name, n)
+                    assert got.dtype == _table_dtype(spec, n), (spec.name, n)
+                    want = pk_rest_evaluate(spec, sv, n, got.dtype)
+                    assert got.tobytes() == want.tobytes(), (b, spec.name, n)
 
 
 def test_evaluate_matches_the_pk_rest_fill_in_full_blocks():
@@ -166,27 +172,33 @@ def test_evaluate_matches_the_pk_rest_fill_in_full_blocks():
         random_spec(13, limit=limit, kind=COMPLETELY_MULTIPLICATIVE),
     ]:
         got = evaluate(spec, sv).values
-        assert got.tobytes() == pk_rest_evaluate(spec, sv).tobytes(), spec.name
+        assert got.dtype == _table_dtype(spec, limit), spec.name
+        assert got.tobytes() == pk_rest_evaluate(spec, sv, None, got.dtype).tobytes(), (
+            spec.name)
 
 
 def test_evaluate_holds_the_table_and_one_cofactor_array():
     limit = 2 * 10**5
     sv = build_sieve(limit)
-    spec = archimedean_twist(0.7)
+    twist, real = archimedean_twist(0.7), standard_spec("liouville")
     few_blocks = 4 * 16 * core.BLOCK  # four complex128 buffers of BLOCK entries
     tracemalloc.start()
     try:
-        evaluate(spec, sv)
+        evaluate(twist, sv)
         cold = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        evaluate(spec, sv)
+        evaluate(twist, sv)
         warm = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        assert evaluate(real, sv).values.dtype == np.float64
+        warm_real = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     # the first call also builds the 4 B/n cofactor array
     assert cold <= 20 * (limit + 1) + few_blocks
     assert warm <= 16 * (limit + 1) + few_blocks
+    assert warm_real <= 8 * (limit + 1) + few_blocks
     sv.power_cofactor()  # builds pk afresh and does not cache it
     assert [np.asarray(v).nbytes for v in sv._cache.values()] == [4 * (limit + 1)]
 
@@ -601,20 +613,24 @@ def test_complex_sum2_is_the_two_real_passes(pairs):
 
 
 def test_zero_imaginary_parts_take_the_real_pass_alone(sieve_1e6):
-    table = evaluate(standard_spec("liouville"), sieve_1e6)
-    assert int(np.count_nonzero(np.signbit(table.values.imag))) == 499_734
-    assert next(core._sum2_chunks(table.values[1:]))[1].dtype == np.float64
+    spec = standard_spec("liouville")
+    ref = core.ValueTable(spec, 10**6, pk_rest_evaluate(spec, sieve_1e6))
+    assert int(np.count_nonzero(np.signbit(ref.values.imag))) == 499_734
+    assert next(core._sum2_chunks(ref.values[1:]))[1].dtype == np.float64
     assert next(core._sum2_chunks(np.array([1, -0.0j, 2j])))[1].dtype == np.complex128
+    real = evaluate(spec, sieve_1e6)
+    assert real.values.dtype == np.float64
     x = geometric_checkpoints(1, 10**6)
     pos = np.floor(x).astype(np.int64)
-    want = checkpointed_sums(table.values.real[1:], pos)
+    want = checkpointed_sums(ref.values.real[1:], pos)
     assert not np.any(want.imag) and not np.any(np.signbit(want.imag))
-    for got in (
-        partial_sums(table, x).sums,
-        core.running_max(table, x)[0].sums,
-        table.prefix_sums()[pos],
-    ):
-        assert got.tobytes() == want.tobytes()
+    for table in (ref, real):
+        for got in (
+            partial_sums(table, x).sums,
+            core.running_max(table, x)[0].sums,
+            table.prefix_sums()[pos],
+        ):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_cumsum_lives_only_in_the_sum2_kernel():

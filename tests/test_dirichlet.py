@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,12 +17,32 @@ from pretense.dirichlet import (
     determinant_dense,
     dirichlet_inverse,
     h_via_determinant,
+    is_prime,
     solve_quotient,
 )
 from pretense.errors import InvalidArgumentError, LimitError
 from pretense.randspecs import random_spec
 
-from oracles import brute_convolve, brute_quotient_local, divisor_fold
+from oracles import brute_convolve, brute_primes, brute_quotient_local, divisor_fold
+
+
+# 561 is a Carmichael number, 3215031751 a strong pseudoprime to the bases 2,
+# 3, 5 and 7, and 3825123056546413051 one to every prime base up to 23
+_PSEUDOPRIMES = (561, 3215031751, 3825123056546413051)
+
+
+def test_is_prime_is_exact_on_small_numbers_and_pseudoprimes():
+    assert [n for n in range(-3, 20_000) if is_prime(n)] == brute_primes(19_999)
+    assert not any(is_prime(n) for n in _PSEUDOPRIMES)
+    t0 = time.perf_counter()
+    assert is_prime(10**17 + 3) and is_prime(10**18 + 3)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("composite", (4, *_PSEUDOPRIMES))
+def test_quotient_rejects_a_composite(composite):
+    with pytest.raises(InvalidArgumentError, match=f"{composite} is not prime"):
+        solve_quotient(standard_spec("one"), standard_spec("delta"), (2, composite), 2)
 
 
 def test_quotient_of_one_by_delta_is_moebius(sieve_1e4):
