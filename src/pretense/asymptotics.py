@@ -21,6 +21,7 @@ from .core import (
     GRID_RATIO,
     PartialSumSeries,
     ValueTable,
+    _value_chunks,
     checkpointed_sums,
     running_max,
 )
@@ -162,7 +163,9 @@ def _xi_exact(xi: XiSeries, y: np.ndarray) -> np.ndarray:
     idx = np.floor(y).astype(np.int64)
     if np.any(idx < 1) or np.any(idx > table.limit):
         raise OutOfRangeError("argument outside the dense table range")
-    return table.prefix_sums()[idx] / y**xi.alpha
+    at, back = np.unique(idx, return_inverse=True)
+    S = checkpointed_sums(table.values[1 : idx.max(initial=0) + 1], at)
+    return S[back.reshape(y.shape)] / y**xi.alpha
 
 
 def _xi_nearest(xi: XiSeries, y: np.ndarray) -> np.ndarray:
@@ -188,22 +191,25 @@ def xi_lookup(xi: XiSeries, y, mode: str = EXACT) -> np.ndarray:
     raise InvalidArgumentError(f"mode must be one of {LOOKUP_MODES}, got {mode!r}")
 
 
-def xi_tilde(
-    h_table: ValueTable, xi: XiSeries, x: float, mode: str = EXACT
-) -> complex:
-    """The quotient-convolved normalization Σ_{m≤x} h(m) m^{−alpha} xi(x/m)."""
-    x = float(x)
-    if x < 1:
+def xi_tilde(h_table: ValueTable, xi: XiSeries, x, mode: str = EXACT):
+    """The quotient-convolved normalization Σ_{m≤x} h(m) m^{−alpha} xi(x/m),
+    a complex; for a list of x, the list of them, from one xi lookup."""
+    xs = [float(v) for v in np.atleast_1d(x)]
+    if min(xs) < 1:
         raise OutOfRangeError("x must be >= 1")
-    M = int(math.floor(x))
+    M = int(math.floor(max(xs)))
     if M > h_table.limit:
         raise OutOfRangeError(
             f"h table covers [1,{h_table.limit}], need m up to {M}"
         )
-    m = np.arange(1, M + 1, dtype=np.float64)
-    hv = h_table.values[1 : M + 1]
-    vals = xi_lookup(xi, x / m, mode=mode)
-    return complex(np.sum(hv * m**-xi.alpha * vals))
+    ms = [np.arange(1, int(math.floor(v)) + 1, dtype=np.float64) for v in xs]
+    vals = xi_lookup(xi, np.concatenate([v / m for v, m in zip(xs, ms)]), mode=mode)
+    out, lo = [], 0
+    for m in ms:
+        hv = h_table.values[1 : m.size + 1]
+        out.append(complex(np.sum(hv * m**-xi.alpha * vals[lo : lo + m.size])))
+        lo += m.size
+    return out if np.ndim(x) else out[0]
 
 
 def xi_roundtrip_residual(
@@ -221,13 +227,11 @@ def xi_roundtrip_residual(
         raise OutOfRangeError(
             f"inverse table covers [1,{h_inverse_table.limit}], need {M}"
         )
-    acc = 0.0 + 0.0j
-    for m in range(1, M + 1):
-        hv = h_inverse_table.values[m]
-        if hv == 0:
-            continue
-        acc += hv * float(m) ** -xi.alpha * xi_tilde(h_table, xi, x / m, mode=mode)
     want = complex(xi_lookup(xi, np.asarray([x]), mode=mode)[0])
+    ms = [m for m in range(1, M + 1) if h_inverse_table.values[m] != 0]
+    acc = 0.0 + 0.0j
+    for m, tilde in zip(ms, xi_tilde(h_table, xi, [x / m for m in ms], mode=mode)):
+        acc += h_inverse_table.values[m] * float(m) ** -xi.alpha * tilde
     scale = max(abs(want), 1e-30)
     return abs(acc - want) / scale
 
@@ -323,23 +327,24 @@ def l_truncation(table: ValueTable, s: complex, N: Optional[int] = None) -> LTru
     N = int(N)
     if not 1 <= N <= table.limit:
         raise OutOfRangeError(f"N must be in [1, {table.limit}], got {N}")
-    n = np.arange(1, N + 1, dtype=np.float64)
-    terms = table.values[1 : N + 1] * np.exp(-s * np.log(n))
-    value = checkpointed_sums(terms, np.asarray([N]))[0]
+    with np.errstate(all="ignore"):
+        terms = (v * np.exp(-s * np.log(n)) for n, v in _value_chunks(table, N))
+        value = complex(checkpointed_sums(terms, [N])[0])
+    if not np.isfinite(value):
+        raise OutOfRangeError(f"truncated Dirichlet series at s={s} is not finite")
     bound = (
         _power_tail_bound(N, s.real, 0.0) if table.spec.bounded_by_one else None
     )
-    return LTruncation(s=s, N=N, value=complex(value), tail_bound=bound)
+    return LTruncation(s=s, N=N, value=value, tail_bound=bound)
 
 
 def _growth_class(table: ValueTable, N: int) -> Optional[int]:
     """Smallest c in {0, 1, 2} with |values(n)| <= n^c on [1, N], if any."""
-    mag = np.abs(table.values[1 : N + 1])
-    n = np.arange(1, N + 1, dtype=np.float64)
-    for c in (0, 1, 2):
-        if np.all(mag <= n**c * (1.0 + 1e-9)):
-            return c
-    return None
+    c = 0  # |f(n)| <= n^c on one chunk implies it for every larger c
+    for n, v in _value_chunks(table, N):
+        while c < 3 and not np.all(np.abs(v) <= n**c * (1.0 + 1e-9)):
+            c += 1
+    return c if c < 3 else None
 
 
 @dataclass(frozen=True)

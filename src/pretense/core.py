@@ -18,9 +18,9 @@ that is real at every prime, held until the table exists.
 Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
 Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
 as summing in twice the working precision, in an order fixed by the data
-alone.  checkpointed_sums gathers it at positions, ValueTable.prefix_sums
-tabulates it and running_max folds max_{n ≤ x} |S(n)| from it; the chunk length
-BLOCK, the summation mode and the thread count never change its bits.
+alone.  checkpointed_sums gathers it at positions and running_max folds
+max_{n ≤ x} |S(n)| from it; the chunk length BLOCK, the summation mode and
+the thread count never change its bits.
 
 Tables and series travel as CSV rows n_or_x,re,im,abs.  The codec is
 columnar: csv_chunks formats BLOCK rows at a time, a column per numpy pass
@@ -240,17 +240,6 @@ class ValueTable:
     spec: FunctionSpec
     limit: int
     values: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def prefix_sums(self) -> np.ndarray:
-        """S(n), 0 ≤ n ≤ limit: the Sum2 prefixes partial_sums gathers.  Cached."""
-        got = self._cache.get("prefix")
-        if got is None:
-            got = np.zeros(self.limit + 1, dtype=np.complex128)
-            for a, S in _sum2_chunks(self.values[1:]):
-                got[a + 1 : a + 1 + S.size] = S
-            self._cache["prefix"] = got
-        return got
 
 
 @dataclass(frozen=True)
@@ -409,26 +398,27 @@ def resolve_threads(threads: Optional[int]) -> int:
 
 
 def _sum2_chunks(terms):
-    """Yield (a, S) per BLOCK terms: S[j] is the Sum2 prefix of the first
-    a + j + 1 terms, in scratch that the next chunk overwrites.
+    """Yield (a, S) per chunk of terms, an array read BLOCK terms at a time or
+    an iterable of arrays of at most BLOCK terms: S[j] is the Sum2 prefix of
+    the first a + j + 1 terms, in scratch that the next chunk overwrites.
 
     S = s + E with s = cumsum(x), E = cumsum(e), e_i the TwoSum error of
     s_{i-1} + x_i.  Chunks carry (s, E) as the leading element of their
-    buffers, so every cumsum runs left to right over the whole array exactly
-    as one unchunked cumsum would.  Complex adds are componentwise, so both
-    parts are summed at once; if every imaginary part is zero only the real
-    part is, as Sum2 of signed zeros is +0.0.
+    buffers, so every cumsum runs left to right over all terms exactly as
+    one unchunked cumsum would.  The sum is real until the first chunk with
+    a nonzero imaginary part: complex adds are componentwise and Sum2 of
+    signed zeros is +0.0, so that gives the bits of one complex pass.
     """
-    x = np.asarray(terms)
-    x = x if np.iscomplexobj(x) and x.imag.any() else x.real
-    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
-    step = BLOCK
-    s, e = np.empty((2, step + 1), dtype=x.dtype)
-    t = np.empty(step, dtype=x.dtype)
+    if isinstance(terms, np.ndarray):
+        terms = np.split(terms, range(BLOCK, terms.size, BLOCK))
+    buf, a = np.empty((3, BLOCK + 1)), 0
     s_carry = e_carry = 0.0
-    for a in range(0, x.size, step):
-        m = min(step, x.size - a)
-        xs, sv, ev, tv = x[a : a + m], s[: m + 1], e[: m + 1], t[:m]
+    for xs in terms:
+        if buf.dtype == np.float64 and np.iscomplexobj(xs) and xs.imag.any():
+            buf = np.empty((3, BLOCK + 1), dtype=np.complex128)
+        xs = xs if buf.dtype == np.complex128 else xs.real
+        m = xs.size
+        sv, ev, tv = buf[0, : m + 1], buf[1, : m + 1], buf[2, :m]
         sv[0] = s_carry
         sv[1:] = xs
         np.cumsum(sv, out=sv)
@@ -442,6 +432,14 @@ def _sum2_chunks(terms):
         np.cumsum(ev, out=ev)
         s_carry, e_carry = sv[m], ev[m]
         yield a, np.add(cur, ev[1:], out=tv)
+        a += m
+
+
+def _value_chunks(table: ValueTable, N: int):
+    """Yield (n, f(n)) for 1 ≤ n ≤ N, BLOCK at a time, n as float64."""
+    for a in range(1, N + 1, BLOCK):
+        n = np.arange(a, min(a + BLOCK, N + 1), dtype=np.float64)
+        yield n, table.values[a : a + n.size]
 
 
 def checkpoint_positions(checkpoints, limit, what: str = "table limit"):
@@ -477,15 +475,17 @@ def checkpointed_sums(
         raise InvalidArgumentError(f"unknown summation mode {mode!r}")
     resolve_threads(threads)
     positions = np.asarray(positions, dtype=np.int64)
-    in_range = (positions >= 0) & (positions <= np.size(terms))
-    if np.any(np.diff(positions) < 0) or not np.all(in_range):
-        raise InvalidArgumentError("prefix positions must be sorted within range")
+    bad = InvalidArgumentError("prefix positions must be sorted within range")
+    if np.any(np.diff(positions) < 0) or np.any(positions < 0):
+        raise bad
     out = np.zeros(positions.size, dtype=np.complex128)
     lo = int(np.searchsorted(positions, 0, side="right"))
     for a, S in _sum2_chunks(terms):
         hi = int(np.searchsorted(positions, a + S.size, side="right"))
         out[lo:hi] = S[positions[lo:hi] - (a + 1)]
         lo = hi
+    if lo < positions.size:
+        raise bad
     return out
 
 

@@ -25,6 +25,7 @@ from .core import (
     SEQUENTIAL,
     SieveIndex,
     ValueTable,
+    _value_chunks,
     build_sieve,
     checkpoint_positions,
     checkpointed_sums,
@@ -143,10 +144,14 @@ def _verdict(slope: Optional[float]) -> str:
     return VERDICT_PLATEAU if slope < PLATEAU_SLOPE else VERDICT_GROWING
 
 
-def _prime_report(kind, params, ps, terms, cutoff, checkpoints, mode, threads):
-    cutoffs, _ = checkpoint_positions(checkpoints, cutoff, "cutoff")
-    positions = np.searchsorted(ps, cutoffs, side="right")
+def _series_report(kind, params, ps, terms, cutoff, checkpoints, mode, threads):
+    # terms are indexed by the primes ps, or by n = 1, 2, ... when ps is None
+    cutoffs, positions = checkpoint_positions(checkpoints, cutoff, "cutoff")
+    if ps is not None:
+        positions = np.searchsorted(ps, cutoffs, side="right")
     partials = checkpointed_sums(terms, positions, mode=mode, threads=threads).real
+    if not np.all(np.isfinite(partials)):
+        raise OutOfRangeError(f"{kind} partials are not finite")
     slope = fit_tail_slope(cutoffs, partials)
     return DistanceReport(
         kind=kind,
@@ -213,7 +218,7 @@ def distance_beta(
     params = {"f": f.name, "g": g.name, "cutoff": cutoff}
     if _kind == "beta":
         params["beta"] = beta
-    return _prime_report(_kind, params, ps, terms, cutoff, checkpoints, mode, threads)
+    return _series_report(_kind, params, ps, terms, cutoff, checkpoints, mode, threads)
 
 
 def distance_strong(
@@ -262,7 +267,7 @@ def distance_strong(
             )
         terms += diff / pf ** (j * beta)
     params = {"f": f.name, "g": g.name, "beta": beta, "k": k, "cutoff": cutoff}
-    return _prime_report(
+    return _series_report(
         "strong-beta-k", params, ps, terms, cutoff, checkpoints, mode, threads,
     )
 
@@ -419,22 +424,12 @@ def h_majorant_series(
         if sieve is None:
             sieve = build_sieve(N)
         table = evaluate(spec, sieve, N)
-    n = np.arange(N + 1, dtype=np.float64)
-    n[0] = 1.0  # keep the unused 0 slot finite
-    mag = np.abs(table.values[: N + 1])
-    w = (mag if power == "L1" else mag * mag) / n**sigma
-    x, positions = checkpoint_positions(checkpoints, float(N), "cutoff")
-    partials = checkpointed_sums(w[1:], positions, mode=mode, threads=threads).real
-    slope = fit_tail_slope(x, partials)
     params = {"h": spec.name, "sigma": sigma, "N": N, "power": power}
-    return DistanceReport(
-        kind="h-L2" if power == "L2" else "h-L1",
-        params=params,
-        cutoffs=x,
-        partials=partials,
-        tail_slope=slope,
-        verdict=_verdict(slope),
-    )
+    with np.errstate(all="ignore"):
+        mags = ((n, np.abs(v)) for n, v in _value_chunks(table, N))
+        w = ((mag if power == "L1" else mag * mag) / n**sigma for n, mag in mags)
+        return _series_report("h-L2" if power == "L2" else "h-L1", params, None, w,
+                              float(N), checkpoints, mode, threads)
 
 
 def h2_envelope(beta: float, dist_beta_sq: float) -> float:

@@ -277,3 +277,20 @@ def pk_rest_evaluate(spec, sieve, limit=None, dtype=np.complex128) -> np.ndarray
         values[comp] = values[pk[comp]] * values[rest[comp]]
         lo = hi
     return values
+
+
+def per_m_roundtrip_residual(h_table, h_inverse_table, xi, x: float, mode) -> float:
+    """xi_roundtrip_residual as one scalar xi_tilde call per m with h̃(m) != 0,
+    the loop it replaced: the batched form must give these bits."""
+    from pretense.asymptotics import xi_lookup, xi_tilde
+
+    x = float(x)
+    acc = 0.0 + 0.0j
+    for m in range(1, int(math.floor(x)) + 1):
+        hv = h_inverse_table.values[m]
+        if hv == 0:
+            continue
+        acc += hv * float(m) ** -xi.alpha * xi_tilde(h_table, xi, x / m, mode=mode)
+    want = complex(xi_lookup(xi, np.asarray([x]), mode=mode)[0])
+    scale = max(abs(want), 1e-30)
+    return abs(acc - want) / scale

@@ -34,7 +34,7 @@ from pretense.errors import (
 )
 from pretense.randspecs import random_spec
 
-from oracles import ZETA2, ZETA3, euler_maclaurin_zeta
+from oracles import ZETA2, ZETA3, euler_maclaurin_zeta, per_m_roundtrip_residual
 
 
 def _synthetic_series(exponent, npts=20, scale=1.0):
@@ -186,6 +186,36 @@ def test_xi_tilde_against_direct_sum(sieve_1e4):
         for m in range(1, int(x) + 1)
     )
     assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("mode", [EXACT, NEAREST])
+def test_xi_tilde_of_a_list_is_the_scalar_calls(sieve_1e4, mode):
+    f = random_spec(403, limit=10**4)
+    q = solve_quotient(f, standard_spec("moebius"), primes=(2, 3), max_exponent=14)
+    ht = evaluate(q.spec, sieve_1e4)
+    xi = xi_from_sums(partial_sums(evaluate(f, sieve_1e4),
+                                   geometric_checkpoints(10, 10**4)), 0.5)
+    xs = [1.0, 2000.0, 17.5, 9999.9, 17.5, 3.25]
+    got = xi_tilde(ht, xi, xs, mode=mode)
+    want = [xi_tilde(ht, xi, x, mode=mode) for x in xs]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    with pytest.raises(OutOfRangeError):
+        xi_tilde(ht, xi, [5.0, 0.5], mode=mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, NEAREST])
+def test_roundtrip_residual_is_the_per_m_loop(sieve_1e4, mode):
+    f = random_spec(401, limit=10**4)
+    g = random_spec(402, limit=10**4)
+    q = solve_quotient(f, g, primes=(2, 3), max_exponent=14)
+    ht = evaluate(q.spec, sieve_1e4)
+    hinv = evaluate(dirichlet_inverse(q.spec), sieve_1e4)
+    s = partial_sums(evaluate(f, sieve_1e4), geometric_checkpoints(10, 10**4))
+    xi = xi_from_sums(s, 0.75)
+    for x in (1.0, 50.0, 777.0, 9000.5):
+        got = xi_roundtrip_residual(ht, hinv, xi, x, mode=mode)
+        want = per_m_roundtrip_residual(ht, hinv, xi, x, mode)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,12 @@ def test_bad_construction_inputs_give_one_error_line(capsys, argv, err):
     (["distance", "--kind", "beta", "--beta=-inf", "--spec", "one",
       "--spec2", "one", "--N", "100"], "--beta must be finite"),
     (["sums", "--spec", "one", "--N", "inf"], "cannot convert float infinity"),
+    (["lseries", "--spec", "one", "--N", "1000", "--s", "-200"],
+     "truncated Dirichlet series at s=(-200+0j) is not finite"),
+    (["lseries", "--spec", "moebius", "--spec2", "liouville", "--N", "1000",
+      "--s", "2+1e308j"], "truncated Dirichlet series at s=(2+1e+308j) is not finite"),
+    (["hseries", "--spec", "moebius", "--N", "1000", "--sigma", "-800"],
+     "h-L2 partials are not finite"),
 ])
 def test_non_finite_numbers_give_one_error_line(capsys, argv, err):
     with warnings.catch_warnings():
@@ -471,7 +477,8 @@ _SMALL_INTS = st.integers(min_value=-3, max_value=40)
 _NUMBER_TEXT = st.one_of(
     st.integers(min_value=-5, max_value=1000).map(str),
     st.floats(min_value=-2.0, max_value=1e3).map(repr),
-    st.sampled_from(["nan", "inf", "-inf", "1e3", "2.5", "x", "", "1+2j", "0"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e3", "2.5", "x", "", "1+2j", "0",
+                     "-200", "-800", "2+1e308j"]),
 )
 
 
@@ -584,6 +591,10 @@ def _argvs(draw):
     return argv
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @given(_argvs())
 @settings(max_examples=150, deadline=None)
 def test_cli_fuzz_exits_cleanly_with_one_error_line(argv):
@@ -599,3 +610,5 @@ def test_cli_fuzz_exits_cleanly_with_one_error_line(argv):
     assert "Traceback" not in text + out.getvalue(), argv
     if code != 0:
         assert sum("error:" in line for line in text.splitlines()) == 1, (argv, text)
+    elif argv[0] in ("lseries", "hseries"):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

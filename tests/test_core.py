@@ -228,7 +228,7 @@ def test_evaluate_divisor_function(sieve_1e4):
 
 def test_prefix_sums_definition(sieve_1e4):
     t = evaluate(standard_spec("moebius"), sieve_1e4, 1000)
-    ps = t.prefix_sums()
+    ps = checkpointed_sums(t.values[1:], np.arange(t.limit + 1))
     assert ps[0] == 0
     assert ps[1] == 1
     assert abs(ps[1000] - sum(brute_moebius(n) for n in range(1, 1001))) == 0
@@ -542,8 +542,12 @@ def test_exact_xi_reads_the_bits_partial_sums_prints(pairs, data, alpha):
     x = np.array(sorted(picks), dtype=np.float64)
     x[x < table.limit] += data.draw(st.sampled_from((0.0, 0.5)))
     assert _xi_exact_is_partial_sums(table, x, alpha)
-    got = table.prefix_sums()[np.floor(x).astype(np.int64)]
-    assert got.tobytes() == partial_sums(table, x).sums.tobytes()
+    # exact xi at the same points, in any order and repeated, reads those S
+    y = x[data.draw(st.lists(st.integers(0, x.size - 1), min_size=1))]
+    xi = asymptotics.xi_from_sums(partial_sums(table, x), alpha)
+    got = asymptotics.xi_lookup(xi, y, mode=asymptotics.EXACT)
+    want = partial_sums(table, x).sums[np.searchsorted(x, y)] / y**alpha
+    assert got.tobytes() == want.tobytes()
 
 
 def test_plain_cumsum_fails_the_exact_xi_test(monkeypatch):
@@ -551,8 +555,8 @@ def test_plain_cumsum_fails_the_exact_xi_test(monkeypatch):
     x = np.arange(1.0, 5.0)
     assert _xi_exact_is_partial_sums(table, x, 0.5)
     assert partial_sums(table, x).sums[-1] == 2.0
-    monkeypatch.setattr(core.ValueTable, "prefix_sums",
-                        lambda self: np.cumsum(self.values))
+    monkeypatch.setattr(asymptotics, "checkpointed_sums",
+                        lambda terms, at: np.cumsum(np.append(0.0, terms))[at])
     assert not _xi_exact_is_partial_sums(_table([1e16, 1.0, 1.0, -1e16]), x, 0.5)
 
 
@@ -587,7 +591,7 @@ def test_prefix_table_and_running_max_do_not_depend_on_block(values):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "BLOCK", b)
             series, peaks = core.running_max(table, x)
-            prefix = _table(values).prefix_sums()
+            prefix = checkpointed_sums(table.values[1:], np.arange(table.limit + 1))
         got.append((prefix.tobytes(), series.sums.tobytes(), peaks.tobytes()))
     assert all(g == got[0] for g in got)
     assert got[0][0][16:] == got[0][1]  # the table is the gathered prefixes
@@ -612,6 +616,67 @@ def test_complex_sum2_is_the_two_real_passes(pairs):
     assert not np.any(np.signbit(got.imag[got.imag == 0]))
 
 
+def _chunks_of(terms, data, block):
+    """terms cut into consecutive chunks of 1 to block terms, drawn."""
+    chunks, a = [], 0
+    while a < terms.size:
+        m = data.draw(st.integers(1, min(block, terms.size - a)))
+        chunks.append(terms[a : a + m])
+        a += m
+    return chunks
+
+
+@given(
+    st.lists(st.tuples(_scaled, _scaled), min_size=1, max_size=200),
+    st.sampled_from(("real", "complex", "real-then-complex", "signed-zero-imag")),
+    st.sampled_from((1, 3, 64, core.BLOCK)),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_chunked_sum2_is_the_array_sum2(pairs, kind, block, data):
+    terms = np.array([complex(a, b) for a, b in pairs])
+    if kind == "signed-zero-imag":
+        terms.imag = np.where([b < 0 for _, b in pairs], -0.0, 0.0)
+    whole = terms.real.copy() if kind == "real" else terms
+    if kind == "real":
+        terms.imag = 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "BLOCK", block)
+        chunks = _chunks_of(whole, data, block)
+        if kind == "real-then-complex":  # the leading chunks come as float64
+            lead = data.draw(st.integers(0, len(chunks)))
+            chunks[:lead] = [c.real.copy() for c in chunks[:lead]]
+            terms.imag[: sum(c.size for c in chunks[:lead])] = 0.0
+        got, want = ([(a, S.astype(np.complex128)) for a, S in core._sum2_chunks(t)]
+                     for t in (iter(chunks), whole))
+    assert [a for a, _ in got] == [sum(c.size for c in chunks[:i])
+                                   for i in range(len(chunks))]
+    joined = np.concatenate([S for _, S in got])
+    assert joined.tobytes() == np.concatenate([S for _, S in want]).tobytes()
+    # and both are the componentwise real passes of one complex sum
+    pos = np.arange(1, terms.size + 1)
+    assert joined.real.tobytes() == checkpointed_sums(terms.real, pos).real.tobytes()
+    assert joined.imag.tobytes() == checkpointed_sums(terms.imag, pos).real.tobytes()
+
+
+def test_series_terms_are_made_a_block_at_a_time(sieve_1e6):
+    table = evaluate(archimedean_twist(0.7), sieve_1e6)
+    few_blocks = 8 * 16 * core.BLOCK  # eight complex128 buffers of BLOCK entries
+    tracemalloc.start()
+    try:
+        for run in (
+            lambda: asymptotics.l_truncation(table, 2.0 + 1.0j),
+            lambda: metrics.h_majorant_series(table, 1.0, 10**6, power="L2"),
+            lambda: metrics.h_majorant_series(table, 0.5, 10**6, power="L1"),
+        ):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            run()
+            assert tracemalloc.get_traced_memory()[1] - held <= few_blocks
+    finally:
+        tracemalloc.stop()
+
+
 def test_zero_imaginary_parts_take_the_real_pass_alone(sieve_1e6):
     spec = standard_spec("liouville")
     ref = core.ValueTable(spec, 10**6, pk_rest_evaluate(spec, sieve_1e6))
@@ -628,9 +693,11 @@ def test_zero_imaginary_parts_take_the_real_pass_alone(sieve_1e6):
         for got in (
             partial_sums(table, x).sums,
             core.running_max(table, x)[0].sums,
-            table.prefix_sums()[pos],
         ):
             assert got.tobytes() == want.tobytes()
+        xi = asymptotics.xi_from_sums(partial_sums(table, x), 0.5)
+        got = asymptotics.xi_lookup(xi, x, mode=asymptotics.EXACT)
+        assert got.tobytes() == (want / x**0.5).tobytes()
 
 
 def test_cumsum_lives_only_in_the_sum2_kernel():
