@@ -10,7 +10,6 @@ fit degenerates only when fewer than two informative points remain.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -42,10 +41,6 @@ NEAREST = "nearest"
 LOOKUP_MODES = (EXACT, NEAREST)
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 @dataclass(frozen=True)
 class GrowthFit:
     """Fitted exponent of |S(x)| over a geometric checkpoint grid."""
@@ -55,18 +50,6 @@ class GrowthFit:
     residual_rms: float
     points_used: int
     dropped_zero_points: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "residual_rms": self.residual_rms,
-            "points_used": self.points_used,
-            "dropped_zero_points": self.dropped_zero_points,
-        }
-
-    def to_json(self) -> str:
-        return _json_dumps(self.to_json_obj())
 
 
 def growth_fit(series: PartialSumSeries) -> GrowthFit:
@@ -243,14 +226,6 @@ class MeanSquareReport:
     grid_ratio_max: float
     error_estimate: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "T": self.T,
-            "grid_ratio_max": self.grid_ratio_max,
-            "error_estimate": self.error_estimate,
-        }
-
 
 def mean_square(xi: XiSeries, T: float) -> MeanSquareReport:
     """Trapezoidal ∫_1^T |xi(t)|² dt on the sample grid.
@@ -300,17 +275,6 @@ class LTruncation:
     value: complex
     tail_bound: Optional[float]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "s": [self.s.real, self.s.imag],
-            "N": self.N,
-            "value": [self.value.real, self.value.imag],
-            "tail_bound": self.tail_bound,
-        }
-
-    def to_json(self) -> str:
-        return _json_dumps(self.to_json_obj())
-
 
 def _power_tail_bound(N: int, sigma: float, growth: float) -> Optional[float]:
     # Σ_{n>N} n^{growth−σ} ≤ N^{growth+1−σ}/(σ−growth−1) when σ > growth+1
@@ -356,27 +320,7 @@ class IdentityCheck:
     residual: float
     combined_bound: Optional[float]
     values: dict
-
-    @property
-    def ok(self) -> Optional[bool]:
-        if self.combined_bound is None:
-            return None
-        return self.residual <= self.combined_bound
-
-    def to_json_obj(self) -> dict:
-        return {
-            "s": [self.s.real, self.s.imag],
-            "N": self.N,
-            "residual": self.residual,
-            "combined_bound": self.combined_bound,
-            "ok": self.ok,
-            "values": {
-                k: [v.real, v.imag] for k, v in self.values.items()
-            },
-        }
-
-    def to_json(self) -> str:
-        return _json_dumps(self.to_json_obj())
+    ok: Optional[bool]  # residual <= combined_bound; None without a bound
 
 
 def quotient_identity_check(
@@ -418,4 +362,5 @@ def quotient_identity_check(
         residual=float(residual),
         combined_bound=combined,
         values={"f": lf.value, "g": lg.value, "h": lh.value},
+        ok=None if combined is None else residual <= combined,
     )

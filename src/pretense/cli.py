@@ -61,6 +61,7 @@ from .core import (
     csv_chunks,
     evaluate,
     geometric_checkpoints,
+    json_text,
     partial_sums,
     read_series_csv,
     resolve_threads,
@@ -190,7 +191,12 @@ def _table_chunks(table):
 
 
 def _dump_json(obj, out: Optional[str]) -> None:
-    _emit([json.dumps(obj, indent=2, sort_keys=True) + "\n"], out)
+    _emit([json_text(obj) + "\n"], out)
+
+
+def _local_json(p: int, coeffs) -> dict:
+    # one prime's local series h(p^0), h(p^1), ... as quotient and inverse print it
+    return {"prime": int(p), "coeffs": np.asarray(coeffs, dtype=np.complex128)}
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +337,15 @@ def _cmd_quotient(a) -> int:
     f = parse_spec_arg(a.spec)
     g = parse_spec_arg(a.spec2)
     q = solve_quotient(f, g, primes=_parse_primes(a.primes), max_exponent=a.k)
-    _dump_json(q.to_json_obj(), a.out)
+    _dump_json([_local_json(ls.p, ls.coeffs) for ls in q.local], a.out)
     return 0
 
 
 def _cmd_inverse(a) -> int:
     h = parse_spec_arg(a.spec)
     inv = dirichlet_inverse(h)
-    local = [
-        {
-            "prime": p,
-            "coeffs": [[inv.value(p, j).real, inv.value(p, j).imag]
-                       for j in range(a.k + 1)],
-        }
-        for p in _parse_primes(a.primes)
-    ]
-    _dump_json(local, a.out)
+    _dump_json([_local_json(p, [inv.value(p, j) for j in range(a.k + 1)])
+                for p in _parse_primes(a.primes)], a.out)
     return 0
 
 
@@ -364,7 +363,7 @@ def _cmd_distance(a) -> int:
     else:
         rep = distance_strong(f, g, a.beta, a.k, a.N, checkpoints=grid,
                               mode=mode, threads=a.threads)
-    _emit([rep.to_json() + "\n"], a.out)
+    _dump_json(rep, a.out)
     return 0
 
 
@@ -382,7 +381,7 @@ def _cmd_hseries(a) -> int:
         rep = quotient_abs_series(spec, a.sigma, a.Y, truncation=a.k)
     else:
         rep = quotient_square_series(spec, a.sigma, truncation=a.k)
-    _emit([rep.to_json() + "\n"], a.out)
+    _dump_json(rep, a.out)
     return 0
 
 
@@ -393,14 +392,8 @@ def _cmd_degree(a) -> int:
     spec = degree_d_spec([parse_spec_arg(s) for s in names])
     coeffs = alpha_coeffs(spec, a.p)
     residuals = [recursion_residual(spec, a.p, n) for n in range(0, a.k + 1)]
-    _dump_json(
-        {
-            "degree": spec.degree,
-            "coeffs": coeffs.to_json_obj(),
-            "residuals": residuals,
-        },
-        a.out,
-    )
+    _dump_json({"degree": spec.degree, "coeffs": coeffs, "residuals": residuals},
+               a.out)
     return 0
 
 
@@ -452,7 +445,7 @@ def _cmd_growth_fit(a) -> int:
         text = Path(a.series).read_text()
     except UnicodeDecodeError as exc:
         raise InvalidArgumentError(f"{a.series} is not a text CSV: {exc}") from None
-    _emit([growth_fit(read_series_csv(text)).to_json() + "\n"], a.out)
+    _dump_json(growth_fit(read_series_csv(text)), a.out)
     return 0
 
 
@@ -467,12 +460,10 @@ def _cmd_xi(a) -> int:
         if a.spec2 is not None:
             g = parse_spec_arg(a.spec2)
             h = solve_quotient(f, g, primes=(2, 3, 5), max_exponent=18).spec
-            v = xi_tilde(evaluate(h, sv), xi, a.x, mode=a.mode)
-            payload = {"x": a.x, "kind": "convolved", "value": [v.real, v.imag]}
+            kind, v = "convolved", xi_tilde(evaluate(h, sv), xi, a.x, mode=a.mode)
         else:
-            v = xi_lookup(xi, a.x, mode=a.mode)
-            payload = {"x": a.x, "kind": "sample", "value": [v.real, v.imag]}
-        _dump_json(payload, a.out)
+            kind, v = "sample", xi_lookup(xi, a.x, mode=a.mode)
+        _dump_json({"x": a.x, "kind": kind, "value": v}, a.out)
         return 0
     _emit(csv_chunks(xi.checkpoints, xi.samples), a.out)
     return 0
@@ -484,12 +475,12 @@ def _cmd_lseries(a) -> int:
     f = parse_spec_arg(a.spec)
     ft = evaluate(f, sv)
     if a.spec2 is None:
-        _emit([l_truncation(ft, s).to_json() + "\n"], a.out)
+        _dump_json(l_truncation(ft, s), a.out)
         return 0
     g = parse_spec_arg(a.spec2)
     h = solve_quotient(f, g, primes=(2, 3, 5), max_exponent=18).spec
     check = quotient_identity_check(ft, evaluate(g, sv), evaluate(h, sv), s)
-    _emit([check.to_json() + "\n"], a.out)
+    _dump_json(check, a.out)
     return 0
 
 

@@ -8,6 +8,7 @@ FunctionSpec.  Everything downstream works from its prime map and powers:
     partial_sums(table, x)  S_f(x) = Σ_{n ≤ x} f(n) at checkpoints
     mean_square_sum         Σ_{n ≤ x} |f(n)|²
     csv_chunks              CSV text of (x, f) rows, one chunk per BLOCK rows
+    json_text               the JSON text of any report
 
 A dense table at limit N holds 4 B/n of spf, 4 B/n of the cached cofactor
 array (SieveIndex.cofactor) and an 8 or 16 B/n table: float64 when every
@@ -28,14 +29,20 @@ columnar: csv_chunks formats BLOCK rows at a time, a column per numpy pass
 the body with numpy's C parser.  The bytes are those of the plain per-row
 formatter it replaced, and a round trip keeps every bit except the sign of
 a zero, written "0", and the payload of a NaN.
+
+Reports travel as JSON through one encoder, json_obj, and its text form
+json_text (sorted keys, indent 2): a dataclass becomes the dict of its
+fields, a complex number [re, im], and a non-finite float null, so every
+report is strict JSON.  No report class encodes itself.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -521,9 +528,11 @@ def running_max(table: ValueTable, checkpoints: Sequence[float]) -> tuple:
 def mean_square_sum(table: ValueTable, x: float) -> float:
     """Σ_{n ≤ x} |f(n)|² (nonnegative, nondecreasing in x).
 
-    Squares BLOCK values at a time into one scratch buffer and adds the chunk
-    sums with math.fsum, so no temporary outgrows a chunk; exact whenever
-    the squares and their partial sums are integers below 2^53.
+    Squares the float64 parts of BLOCK values at a time (the values of a
+    float64 table, the real and imaginary parts of a complex one) into one
+    scratch buffer and adds the chunk sums with math.fsum, so no temporary
+    outgrows a chunk; exact whenever the squares and their partial sums are
+    integers below 2^53.
     """
     m = int(math.floor(x))
     if m < 1 or m > table.limit:
@@ -531,9 +540,8 @@ def mean_square_sum(table: ValueTable, x: float) -> float:
     buf = np.empty(2 * BLOCK)
     chunks = []
     for a in range(1, m + 1, BLOCK):
-        v = table.values[a : min(a + BLOCK, m + 1)]
-        v = np.ascontiguousarray(v, dtype=np.complex128)
-        sq = np.square(v.view(np.float64), out=buf[: 2 * v.size])
+        parts = table.values[a : min(a + BLOCK, m + 1)].view(np.float64)
+        sq = np.square(parts, out=buf[: parts.size])
         chunks.append(float(np.add.reduce(sq)))
     return math.fsum(chunks)
 
@@ -651,3 +659,27 @@ def read_series_csv(text: str) -> PartialSumSeries:
     return PartialSumSeries(
         checkpoints=rows[:, 0].copy(), sums=sums, summation_mode=SEQUENTIAL
     )
+
+
+def json_obj(obj):
+    """obj as plain JSON values: a dataclass as the dict of its fields, dict
+    keys as str, lists, tuples and arrays as lists, numpy scalars as Python
+    numbers, a complex number as [re, im] and a non-finite float as None."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: json_obj(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): json_obj(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [json_obj(v) for v in obj]
+    if isinstance(obj, complex):
+        return [json_obj(obj.real), json_obj(obj.imag)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def json_text(obj) -> str:
+    """The JSON text of json_obj(obj), keys sorted, indent 2."""
+    return json.dumps(json_obj(obj), indent=2, sort_keys=True, allow_nan=False)

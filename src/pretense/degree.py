@@ -11,7 +11,6 @@ the quotient determinants of any two degree-d functions vanish beyond d.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -102,14 +101,6 @@ class SymmetricCoeffs:
     q: np.ndarray
     r: np.ndarray
     alpha: np.ndarray
-
-    def to_json_obj(self) -> dict:
-        enc = lambda a: [[float(z.real), float(z.imag)] for z in a]
-        return {"p": self.p, "q": enc(self.q), "r": enc(self.r),
-                "alpha": enc(self.alpha)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 def degree_d_spec(constituents: Sequence[FunctionSpec]) -> FunctionSpec:
@@ -247,19 +238,6 @@ class ExtensionReport:
     sup_ratio: Optional[float]
     violations: tuple
 
-    def to_json_obj(self) -> dict:
-        return {
-            "beta": self.beta,
-            "degree": self.degree,
-            "p_min": self.p_min,
-            "sup_ratio": self.sup_ratio,
-            "violations": [int(p) for p in self.violations],
-            "rows": [
-                {"p": r.p, "head": r.head, "tail": r.tail, "ratio": r.ratio}
-                for r in self.rows
-            ],
-        }
-
 
 def degreedist_extension_check(
     f: FunctionSpec,
@@ -331,16 +309,6 @@ class GrowthDeltaReport:
     delta: float
     rows: tuple
     last_increase_n: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "delta": self.delta,
-            "last_increase_n": self.last_increase_n,
-            "rows": [
-                {"x": r.x, "running_max": r.running_max, "argmax": r.argmax}
-                for r in self.rows
-            ],
-        }
 
 
 def growth_delta_check(

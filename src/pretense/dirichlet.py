@@ -75,12 +75,6 @@ class LocalSeries:
     p: int
     coeffs: np.ndarray
 
-    def to_json_obj(self) -> dict:
-        return {
-            "prime": int(self.p),
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
-
 
 def _lazy_local_solver(update):
     """Shared per-prime forward substitution with a growable coefficient cache.
@@ -129,9 +123,6 @@ class QuotientSpec:
             if ls.p == p:
                 return ls
         raise InvalidArgumentError(f"prime {p} not in the precomputed table")
-
-    def to_json_obj(self) -> list:
-        return [ls.to_json_obj() for ls in self.local]
 
 
 def solve_quotient(

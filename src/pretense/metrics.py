@@ -12,7 +12,6 @@ when it does not.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -41,23 +40,6 @@ DEFAULT_TRUNCATION = 40
 UNIT_DISC_SLACK = 1e-9
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    return obj
-
-
 @dataclass(frozen=True)
 class DistanceReport:
     """A checkpointed nonnegative series with its convergence diagnostic.
@@ -77,19 +59,6 @@ class DistanceReport:
     @property
     def total(self) -> float:
         return float(self.partials[-1]) if self.partials.size else 0.0
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": _json_safe(self.params),
-            "cutoffs": [float(x) for x in self.cutoffs],
-            "partials": [float(s) for s in self.partials],
-            "tail_slope": _json_safe(self.tail_slope),
-            "verdict": self.verdict,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
 def fit_tail_slope(cutoffs: np.ndarray, partials: np.ndarray) -> Optional[float]:
@@ -182,11 +151,8 @@ def distance_classic(
     threads: Optional[int] = None,
 ) -> DistanceReport:
     """Squared prime distance: partials of Σ_{p≤x} (1 − Re f(p) conj(g(p)))/p."""
-    return distance_beta(
-        f, g, 1.0, cutoff,
-        checkpoints=checkpoints, sieve=sieve, mode=mode, threads=threads,
-        _kind="classic",
-    )
+    return _weighted_distance("classic", f, g, 1.0, cutoff, checkpoints, sieve,
+                              mode, threads)
 
 
 def distance_beta(
@@ -198,9 +164,14 @@ def distance_beta(
     sieve: Optional[SieveIndex] = None,
     mode: str = SEQUENTIAL,
     threads: Optional[int] = None,
-    _kind: str = "beta",
 ) -> DistanceReport:
     """Squared beta-weighted distance: Σ_{p≤x} (1 − Re f(p) conj(g(p)))/p^β."""
+    return _weighted_distance("beta", f, g, beta, cutoff, checkpoints, sieve,
+                              mode, threads)
+
+
+def _weighted_distance(kind, f, g, beta, cutoff, checkpoints, sieve, mode, threads):
+    # the classic distance is the beta distance at β = 1, without a beta param
     beta = float(beta)
     if not 0.0 < beta <= 1.0:
         raise InvalidArgumentError(f"beta must be in (0, 1], got {beta}")
@@ -216,9 +187,9 @@ def distance_beta(
     _require_unit_disc("g", g, ps, gp)
     terms = (1.0 - (fp * np.conj(gp)).real) / ps.astype(np.float64) ** beta
     params = {"f": f.name, "g": g.name, "cutoff": cutoff}
-    if _kind == "beta":
+    if kind == "beta":
         params["beta"] = beta
-    return _series_report(_kind, params, ps, terms, cutoff, checkpoints, mode, threads)
+    return _series_report(kind, params, ps, terms, cutoff, checkpoints, mode, threads)
 
 
 def distance_strong(

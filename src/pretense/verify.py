@@ -12,7 +12,6 @@ band is diagnosable from the table alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -47,6 +46,7 @@ from .core import (
     build_sieve,
     evaluate,
     geometric_checkpoints,
+    json_text,
     partial_sums,
     running_max,
 )
@@ -105,15 +105,6 @@ class CheckResult:
     def row(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"{mark}  {self.bundle}:{self.name}  {self.detail}"
-
-    def to_json_obj(self) -> dict:
-        # comparisons against numpy scalars yield np.bool_, which json rejects
-        return {
-            "bundle": self.bundle,
-            "name": self.name,
-            "passed": bool(self.passed),
-            "detail": self.detail,
-        }
 
 
 def _alternating_spec() -> FunctionSpec:
@@ -608,13 +599,9 @@ def run_bundle(
 
 
 def bundle_json(name: str, seed: int, results: List[CheckResult]) -> str:
-    return json.dumps(
-        {
-            "bundle": name,
-            "seed": seed,
-            "all_passed": all(r.passed for r in results),
-            "results": [r.to_json_obj() for r in results],
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    return json_text({
+        "bundle": name,
+        "seed": seed,
+        "all_passed": all(r.passed for r in results),
+        "results": results,
+    })

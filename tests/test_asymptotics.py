@@ -24,6 +24,7 @@ from pretense.core import (
     build_sieve,
     evaluate,
     geometric_checkpoints,
+    json_obj,
     partial_sums,
 )
 from pretense.dirichlet import dirichlet_inverse, solve_quotient
@@ -73,7 +74,7 @@ def test_growth_fit_drops_tiny_sums_and_degenerates():
 
 
 def test_growth_fit_json_fields():
-    obj = growth_fit(_synthetic_series(0.25)).to_json_obj()
+    obj = json_obj(growth_fit(_synthetic_series(0.25)))
     assert sorted(obj) == [
         "dropped_zero_points", "exponent", "intercept",
         "points_used", "residual_rms",

@@ -437,6 +437,86 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# sha256 of the stdout of each small JSON command: the report format is part
+# of the interface, so these bytes must not move
+_JSON_STDOUT_SHA256 = {
+    "quotient": ("quotient --spec one --spec2 delta --primes 2,3 --k 4",
+                 "4eab933e727243ff91466f3b90ad814ad3a49e13809b3a1bd830fb0276f077a6"),
+    "quotient2": ("quotient --spec char:4:1 --spec2 liouville --k 8",
+                  "e78382a7c0e6283b2aada8dc4be5583e12c6d354c5e95b4622f00fdbd4a73682"),
+    "quotient3": ("quotient --spec twist:1.5 --spec2 moebius --primes 2,3,5,7 --k 6",
+                  "def35de7b7aaa5427b29abbe46f0ccbcd63440c82684a037f8447314829ee3da"),
+    "inverse": ("inverse --spec one --primes 2 --k 3",
+                "fb01907ccbad877c3d16ad3acc9ae9b2046045fb0bc0e7cdd127ec691579f1d9"),
+    "inverse2": ("inverse --spec char:7:1 --primes 2,3,5 --k 6",
+                 "253d25ad5db1dc4a31c7415dc4cbdf2a66c0276b43c0f8ec9bdcba87f4337b05"),
+    "inverse3": ("inverse --spec twist:0.5 --k 5",
+                 "d030afb5e8bbc1f91175e5cfa1da4bf738db824026ad3927c026d5ae636bbc2d"),
+    "dist-classic": ("distance --spec one --spec2 liouville --N 1e5",
+                     "a26f7b5d4a004f2749bfeec0c71387f61a86ea1910cf17e9528666ccf3e54888"),
+    "dist-beta": ("distance --kind beta --beta 0.5 --spec char:4:1 --spec2 moebius --N 1e5",
+                  "53ec72e12864ac12f3e3680c52c2258740d5f0f9d980e0af9823bf89dd0cf80f"),
+    "dist-strong": ("distance --kind strong --beta 1.5 --k 3 --spec one --spec2 liouville --N 1e5",
+                    "c6c1667f8f3e0acc0fe59077c89b7baec39780f268aca330c9314dade3859660"),
+    "hseries-N": ("hseries --spec one --spec2 liouville --sigma 1.0 --N 1e5",
+                  "006678d640a210ad346561dd892b5b773b3bd04ef2ff749047ba750a5084e442"),
+    "hseries-N-L1": ("hseries --spec char:4:1 --sigma 0.8 --N 1e5 --power L1",
+                     "785804ce77036c0fc00e8cc352067e421ad595f91fe129678a167a05cff53e76"),
+    "hseries-Y": ("hseries --spec one --spec2 delta --sigma 1.0 --Y 10000",
+                  "4644303368d580ebdf11791f4159e18275df76f55b0cd5404807491848041979"),
+    "hseries-Y-div": ("hseries --spec one --spec2 liouville --sigma 0.3 --Y 50 --k 10",
+                      "531942ab08e97bda4a0f1815b5a354472e9f4821e17f88ae6dd85d21c16d20ce"),
+    "hseries-sigma": ("hseries --spec one --spec2 delta --sigma 1.0",
+                      "9fef82ee1b1ffccdd97f1cd7b5ab0c8476e0a522d14ffdd2283e782bde5e9ad9"),
+    "hseries-sigma-div": ("hseries --spec moebius --spec2 one --sigma 0.5 --k 12",
+                          "9a6a26242b1bb2c705ed9be5f4b19fee2c6c597772e57e99bcdfff9e7dbf16d2"),
+    "degree": ("degree --constituents one,one --p 3 --k 5",
+               "449a5adf40eaa1928abb851be826a65ab1e5cae29a772ddc70adc410e14375cf"),
+    "degree2": ("degree --constituents char:4:1,twist:1.5,liouville --p 5 --k 7",
+                "7a72095ab096e258beedd7d7d14b53de572dc4d34bf9a095e1c524f750da5f77"),
+    "construct-char": ("construct character --q 7 --index 1",
+                       "62499a3783a543a68cf4c62a67c58c44fb006f7f34b801753404972cc91a470d"),
+    "construct-random": ("construct random --seed 3 --N 200",
+                         "e6d9a111bd82cb15b5ff34a8a5baeae84050582d6462e2313fffd8abfff18eb2"),
+    "construct-twist": ("construct optimality-twist --spec char:4:1 --beta 0.5 --cutoff 1000",
+                        "dd8951b1f2eec119734b830a792b9eb391090cbf49686d99d10a7333bc7ba169"),
+    "construct-degree": ("construct degree-d --constituents char:4:1,one",
+                         "2a0733518f9a947727c0949691c779f56acc19e6021c750a90a8fb1226bcc478"),
+    "construct-sparse": ("construct sparse-dyadic --spec char:4:1 --intervals 3,4",
+                         "d54c88c98da51196807284c3529508006eafc0650a4a25a049de26f24e74e4ae"),
+    "xi-x": ("xi --spec char:4:1 --N 1e5 --alpha 0.5 --x 777.5",
+             "d61caa510a42157271bded72bc7e8205e76b2f34223c4a855c5a2f4c401e5ba6"),
+    "xi-x-nearest": ("xi --spec twist:1.25 --N 1e5 --alpha 0.5 --x 1234.5 --mode nearest",
+                     "0041adb69651ec0edac5eab4d74582320be1427a77798fc4996dd80afee0f888"),
+    "xi-x-spec2": ("xi --spec char:4:1 --spec2 moebius --N 1e5 --alpha 0.5 --x 5000",
+                   "f2fd580f9d047a668803f9eecccc59679f7bfee4d5838412295631bbda1a129e"),
+    "lseries": ("lseries --spec one --s 2 --N 1e5",
+                "6e5d2841058f68b8831d928c3963e85bd59cfb96faf4e6d6ca637d4f1d3ab037"),
+    "lseries-c": ("lseries --spec char:4:1 --s 2+1j --N 1e5",
+                  "945b1a153868fba2a9486c1e0684352bc04b9964790ba9f624fa099e923ff20a"),
+    "lseries-spec2": ("lseries --spec char:4:1 --spec2 moebius --s 2 --N 1e5",
+                      "e0f8b02d12563869d449628333b9c054f46041a4af118b3297dcf67795696790"),
+    "lseries-spec2-c": ("lseries --spec one --spec2 liouville --s 3+2j --N 1e5",
+                        "8bef6f2450f180893946d992f7412f2fde7101c819062f8dbf1a7cd9b6c58f7b"),
+    "sieve": ("sieve --N 1e5",
+              "22b835eee61b3fbfd5dba6dd795a30a5355061fc4a9a56dcddd131a74f1fa5f4"),
+    "growth-fit": ("growth-fit",
+                   "27eb614170242d7b626c5ecde5fb699a83b1068690f2e54b7da51dae6053a05a"),
+}
+
+
+@pytest.mark.parametrize("name", list(_JSON_STDOUT_SHA256))
+def test_json_command_stdout_bytes_are_pinned(tmp_path, capsys, name):
+    argv, want = _JSON_STDOUT_SHA256[name]
+    argv = argv.split()
+    if argv[0] == "growth-fit":
+        csv = tmp_path / "sums.csv"
+        assert main(["sums", "--spec", "char:4:1", "--N", "1e5", "--out", str(csv)]) == 0
+        argv.append(str(csv))
+    assert main(argv) == 0, capsys.readouterr().err
+    assert _sha(capsys.readouterr().out.encode()) == want
+
+
 @pytest.mark.parametrize("spec", ["moebius", "char:7:1"])
 def test_cli_csv_bytes_match_reference_formatter(tmp_path, capsys, spec):
     """eval, sums, convolve and the xi profile write the bytes of the
@@ -591,6 +671,11 @@ def _argvs(draw):
     return argv
 
 
+# the subcommands that print JSON; xi does too, given --x
+_JSON_COMMANDS = ("sieve", "quotient", "inverse", "distance", "hseries", "degree",
+                  "construct", "growth-fit", "lseries")
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -610,5 +695,6 @@ def test_cli_fuzz_exits_cleanly_with_one_error_line(argv):
     assert "Traceback" not in text + out.getvalue(), argv
     if code != 0:
         assert sum("error:" in line for line in text.splitlines()) == 1, (argv, text)
-    elif argv[0] in ("lseries", "hseries"):
+    elif argv[0] in _JSON_COMMANDS or any(a.startswith("--x=") for a in argv):
+        # every JSON report is strict JSON: no NaN or Infinity
         json.loads(out.getvalue(), parse_constant=_reject_constant)

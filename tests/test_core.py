@@ -1,7 +1,9 @@
 import ast
+import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -754,3 +756,51 @@ def test_one_checkpoint_validator(sieve_1e4, consumer, x, error, match):
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
             _checkpoint_consumers(sieve_1e4)[consumer](x)
+
+
+# ---------------------------------------------------------------------------
+# the one JSON encoder of every report
+
+@dataclass(frozen=True)
+class _Inner:
+    z: complex
+    flags: tuple
+
+
+@dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    rows: list
+    table: dict
+
+
+def test_json_obj_gives_plain_json_values():
+    inf, nan = math.inf, math.nan
+    assert core.json_obj(np.int64(7)) == 7 and type(core.json_obj(np.int64(7))) is int
+    assert core.json_obj(np.bool_(True)) is True
+    assert core.json_obj(np.float64(0.1)) == 0.1
+    assert type(core.json_obj(np.float64(0.1))) is float
+    # xi --x returns a 0-d complex array
+    assert core.json_obj(np.asarray(2.5 - 0.0j)) == [2.5, -0.0]
+    assert core.json_obj(np.array([1 + 2j, 3j])) == [[1.0, 2.0], [0.0, 3.0]]
+    assert core.json_obj(inf) is None and core.json_obj(-inf) is None
+    assert core.json_obj(nan) is None and core.json_obj(np.float64(-inf)) is None
+    assert core.json_obj(complex(inf, nan)) == [None, None]
+    assert core.json_obj(np.complex128(complex(1.0, -inf))) == [1.0, None]
+    assert core.json_obj({2: "a", 1.5: None, (3, 4): True}) == {
+        "2": "a", "1.5": None, "(3, 4)": True,
+    }
+    obj = _Outer(
+        inner=_Inner(z=1j, flags=(np.bool_(False), (np.int32(3), nan))),
+        rows=[(2, -inf), np.array([0.5])],
+        table={np.int64(5): np.array(7)},
+    )
+    want = {
+        "inner": {"z": [0.0, 1.0], "flags": [False, [3, None]]},
+        "rows": [[2, None], [0.5]],
+        "table": {"5": 7},
+    }
+    assert core.json_obj(obj) == want
+    text = core.json_text(obj)
+    assert json.loads(text, parse_constant=lambda name: pytest.fail(name)) == want
+    assert text == json.dumps(want, indent=2, sort_keys=True)

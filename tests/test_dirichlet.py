@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pretense.cli import _local_json
 from pretense.constructions import standard_spec
-from pretense.core import build_sieve, evaluate
+from pretense.core import build_sieve, evaluate, json_obj
 from pretense.degree import degree_d_spec, r_poly
 from pretense.dirichlet import (
     DETERMINANT_ORDER_CAP,
@@ -80,7 +81,7 @@ def test_quotient_json_shape():
     q = solve_quotient(
         standard_spec("one"), standard_spec("liouville"), primes=(2, 3), max_exponent=3
     )
-    obj = q.to_json_obj()
+    obj = json_obj([_local_json(ls.p, ls.coeffs) for ls in q.local])
     assert [loc["prime"] for loc in obj] == [2, 3]
     assert obj[0]["coeffs"][0] == [1.0, 0.0]
     assert obj[0]["coeffs"][1] == [-2.0, 0.0]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pretense.constructions import dirichlet_character, standard_spec
-from pretense.core import build_sieve, evaluate, prime_values_of
+from pretense.core import build_sieve, evaluate, json_text, prime_values_of
 from pretense.dirichlet import solve_quotient
 from pretense.errors import InvalidArgumentError
 from pretense.metrics import (
@@ -123,7 +123,7 @@ def test_distance_strong_cm_powers_match_value(sieve_1e4):
                  (archimedean_twist(1.25), archimedean_twist(1.25 + 1e-7))):
         cm = distance_strong(f, g, 0.5, 6, 10**4, sieve=sieve_1e4)
         gm = distance_strong(gm_copy(f), gm_copy(g), 0.5, 6, 10**4, sieve=sieve_1e4)
-        assert cm.to_json() == gm.to_json()
+        assert json_text(cm) == json_text(gm)
 
 
 def test_distance_strong_allows_beta_above_one(sieve_1e4):
@@ -137,7 +137,7 @@ def test_report_json_shape(sieve_1e4):
     rep = distance_classic(
         standard_spec("one"), standard_spec("liouville"), 1000, sieve=sieve_1e4
     )
-    obj = json.loads(rep.to_json())
+    obj = json.loads(json_text(rep))
     assert sorted(obj) == [
         "cutoffs", "kind", "params", "partials", "tail_slope", "verdict",
     ]
