@@ -333,8 +333,10 @@ def quotient_identity_check(
     """|L_N(s,g) − L_N(s,f) L_N(s,h)| against the combined tail bounds.
 
     Tail majorants use each table's observed growth class c (|v(n)| ≤ n^c,
-    smallest c in {0,1,2}); the h factor of a quotient can grow like n, so
-    Re s ≥ 2 is required for the bounds to close.
+    smallest c in {0,1,2}), and a class-c tail is bounded only for
+    Re s > c + 1.  Re s < 2 is rejected.  The h factor of a quotient can
+    grow like n, class 1, so at Re s = 2 its tail bound, combined_bound and
+    ok may all be None: a verdict needs Re s above every table's c + 1.
     """
     s = complex(s)
     if s.real < 2:

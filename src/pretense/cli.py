@@ -624,7 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lseries", help="truncated Dirichlet series / identity check")
     p.add_argument("--s", type=str, required=True,
-                   help='evaluation point, e.g. "2" or "2+1j"')
+                   help='evaluation point, e.g. "2" or "2+1j"; with --spec2, '
+                        'Re s >= 2, and a verdict ("ok") needs Re s > c + 1 '
+                        'for the growth class c of every table (else null)')
     _add_common(p, "--spec", "--spec2", "--N", "--out",
                 spec={"required": True}, N={"default": 10**5})
     p.set_defaults(fn=_cmd_lseries)

@@ -3,7 +3,8 @@
 A function is described by its values on prime powers, f(p^k), via a
 FunctionSpec.  Everything downstream works from its prime map and powers:
 
-    build_sieve(N)          smallest-prime-factor table and prime list up to N
+    build_sieve(N)          smallest-prime-factor table and prime list up to N,
+                            in L2-sized segments
     evaluate(spec, sieve)   dense table of f(n) for 1 ≤ n ≤ N
     partial_sums(table, x)  S_f(x) = Σ_{n ≤ x} f(n) at checkpoints
     mean_square_sum         Σ_{n ≤ x} |f(n)|²
@@ -12,9 +13,13 @@ FunctionSpec.  Everything downstream works from its prime map and powers:
 
 A dense table at limit N holds 4 B/n of spf, 4 B/n of the cached cofactor
 array (SieveIndex.cofactor) and an 8 or 16 B/n table: float64 when every
-f(p^k) ≤ N is real, complex128 otherwise.  Besides these, evaluate allocates
-nothing longer than BLOCK entries, apart from the prime values of a spec
-that is real at every prime, held until the table exists.
+f(p^k) ≤ N is real, complex128 otherwise.  The sieve walks segments of
+SEGMENT entries that stay in L2 and allocates, besides spf, only the prime
+list and one segment's temporaries.  The cofactor and evaluate work in
+chunks of BLOCK entries, and divide n by a divisor of n as an exact float64
+quotient (n ≤ MAX_SIEVE_LIMIT < 2^53).  Besides these arrays, evaluate
+allocates nothing longer than BLOCK entries, apart from the prime values of
+a spec that is real at every prime, held until the table exists.
 
 Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
 Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
@@ -75,6 +80,11 @@ MAX_SIEVE_LIMIT = 10**8
 # 2^16 that kernel was ~15% slower and its freed buffers stayed resident on
 # the heap, raising peak RSS by ~1 MB in a 1e7 table workload.
 BLOCK = 1 << 14
+
+# Segment length of build_sieve: 1 MiB of int32 spf, which stays in a 2 MiB
+# per-core L2 while the base primes write into it.  spf and the primes do
+# not depend on it.
+SEGMENT = 1 << 18
 
 UNIT_DISC_TOL = 1e-9
 
@@ -154,9 +164,10 @@ class SieveIndex:
     """Smallest prime factor for every n ≤ limit, plus the prime list.
 
     spf[n] is the least prime dividing n (spf[0] = spf[1] = 0), so spf[n] = n
-    exactly when n is prime.  Memory: 4(N+1) bytes for spf, plus one cached
-    int32 cofactor array of the same size once a dense evaluation has run;
-    building it allocates no other temporary longer than BLOCK.
+    exactly when n is prime; primes is int64.  build_sieve makes both in
+    segments of SEGMENT entries.  Memory: 4(N+1) bytes for spf and 8 per
+    prime, plus one cached int32 cofactor array of N+1 entries once a dense
+    evaluation has run, whose building allocates nothing longer than BLOCK.
     """
 
     limit: int
@@ -169,10 +180,12 @@ class SieveIndex:
         gcd(spf[n], rest[n]) = 1 and n // rest[n] is that prime power; 1 at
         n = 0, 1.  Cached after first use.
 
-        With p = spf[n] and m = n // p: rest[n] = rest[m] when spf[m] = p,
-        else rest[n] = m (Gries & Misra, CACM 1978).  As m ≤ n/2, chunks
-        (lo, min(2·lo, lo + BLOCK, N)] taken in ascending order read only
-        entries already filled, and no temporary outgrows BLOCK.
+        With p = spf[n] and m = n / p: rest[n] = rest[m] when spf[m] = p,
+        else rest[n] = m (Gries & Misra, CACM 1978).  m is the float64
+        quotient, exact as p divides n < 2^53, cast to intp for the gathers
+        of spf[m] and rest[m].  As m ≤ n/2, chunks (lo, min(2·lo, lo + BLOCK,
+        N)] taken in ascending order read only entries already filled, and no
+        temporary outgrows BLOCK.
         """
         got = self._cache.get("cofactor")
         if got is not None:
@@ -184,7 +197,9 @@ class SieveIndex:
         while lo < n:
             hi = min(2 * lo, lo + BLOCK, n)
             p = spf[lo + 1 : hi + 1]
-            m = np.arange(lo + 1, hi + 1, dtype=np.int32) // p
+            # p divides n ≤ MAX_SIEVE_LIMIT < 2^53, so the float64 quotient
+            # is exact, and it gives intp indices for the gathers
+            m = (np.arange(lo + 1.0, hi + 1.0) / p).astype(np.intp)
             rest[lo + 1 : hi + 1] = np.where(spf[m] == p, rest[m], m)
             lo = hi
         self._cache["cofactor"] = rest
@@ -205,13 +220,21 @@ class SieveIndex:
 
 
 def build_sieve(limit: int) -> SieveIndex:
-    """Smallest-prime-factor sieve on [2, limit].
+    """Smallest-prime-factor sieve on [2, limit], segment by segment.
 
-    The base primes p ≤ √limit come from a small boolean sieve.  Writing
-    spf[p², p² + p, ...] = p for them in descending order leaves the least
-    prime factor in every composite, with no compare and no masked write;
-    the entries left at zero from 2 on are the primes.  Besides spf, only the
-    prime list and one byte-per-n mask are allocated.
+    The base primes p ≤ √limit come from a small boolean sieve.  The range
+    is then walked in segments [L, R) of SEGMENT entries, each of which stays
+    in L2 while it is written (Bays & Hudson, BIT 1977): for the base primes
+    in descending order, seg[f - L :: p] = p from the next multiple f ≥ p²
+    of p, kept per prime from one segment to the next.  So the least prime
+    factor of a composite is written last, with no compare and no masked
+    write, and the entries left at zero from 2 on are the primes.  A second
+    walk, BLOCK entries at a time, writes them into spf and into a prime list
+    allocated at the length the first walk counted.  Besides spf (4 B/n) and
+    the prime list (8 B per prime), nothing longer than BLOCK entries is
+    allocated: a freed temporary longer than a complex BLOCK chunk would
+    raise glibc's mmap threshold, and evaluate's freed prime-value chunks
+    would then stay resident.
     """
     limit = int(limit)
     if limit < 2:
@@ -232,10 +255,29 @@ def build_sieve(limit: int) -> SieveIndex:
     for p in range(2, math.isqrt(root) + 1):
         if small[p]:
             small[p * p :: p] = False
-    for p in np.flatnonzero(small)[::-1].tolist():
-        spf[p * p :: p] = p
-    primes = np.flatnonzero(spf == 0)[2:]
-    spf[primes] = primes
+    base = np.flatnonzero(small)[::-1].tolist()
+    nxt = [p * p for p in base]
+    spf[:2] = 1  # not primes; reset below
+    count = 0
+    for lo in range(0, limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)
+        seg = spf[lo:hi]
+        for i, p in enumerate(base):
+            f = nxt[i]
+            if f < hi:
+                seg[f - lo :: p] = p
+                nxt[i] = f + (hi - f + p - 1) // p * p
+        count += seg.size - np.count_nonzero(seg)
+    primes = np.empty(count, dtype=np.int64)
+    k = 0
+    for lo in range(0, limit + 1, BLOCK):
+        chunk = spf[lo : lo + BLOCK]
+        ps = np.flatnonzero(chunk == 0)
+        got = primes[k : k + ps.size]
+        np.add(ps, lo, out=got)
+        chunk[ps] = got
+        k += ps.size
+    spf[:2] = 0
     return SieveIndex(limit=limit, spf=spf, primes=primes)
 
 
@@ -321,10 +363,13 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
     products.  Prime values are held, chunk by chunk, until one is not real,
     so the powers are asked before the table exists only when every prime
     value is real.  Every other n is the single product f(pk)·f(rest) of its
-    coprime parts, rest = SieveIndex.cofactor()[n] and pk = n // rest; both
-    are at most n/2, so chunks (lo, min(2·lo, lo + BLOCK, limit)] filled in
-    ascending order read only finished entries, and no temporary outgrows
-    BLOCK.  Cost is O(N) array work after the sieve.
+    coprime parts, rest = SieveIndex.cofactor()[n] and pk = n / rest, an
+    exact float64 quotient; both are at most n/2, so chunks (lo, min(2·lo,
+    lo + BLOCK, limit)] filled in ascending order read only finished entries,
+    and no temporary outgrows BLOCK.  A real table writes the products of a
+    whole chunk, prime powers included, where f(n)·f(1) is f(n) to the bit;
+    a complex one writes only the composites.  Cost is O(N) array work after
+    the sieve.
     """
     if limit is None:
         limit = sieve.limit
@@ -368,14 +413,20 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
 
     # The product stays a multiply of two fresh contiguous gathers: numpy's
     # loops for a scalar, strided or aliased operand can round the last bit
-    # differently.  pk = n // r is dropped once gathered.
+    # differently.  r divides n < 2^53, so pk = n / r is an exact float64
+    # quotient; it is dropped once gathered.  Where r = 1 a real product is
+    # f(n)·1.0, f(n) to the bit with -0.0 and all, so it needs no mask; a
+    # complex one, (a+bi)(1+0i), can flip the sign of a zero part.
     rest = sieve.cofactor()
     lo = 1
     while lo < limit:
         hi = min(2 * lo, lo + BLOCK, limit)
         r = rest[lo + 1 : hi + 1].astype(np.intp)
-        prod = values[np.arange(lo + 1, hi + 1) // r] * values[r]
-        np.copyto(values[lo + 1 : hi + 1], prod, where=r > 1)
+        pk = (np.arange(lo + 1.0, hi + 1.0) / r).astype(np.intp)
+        if real:
+            np.multiply(values[pk], values[r], out=values[lo + 1 : hi + 1])
+        else:
+            np.copyto(values[lo + 1 : hi + 1], values[pk] * values[r], where=r > 1)
         lo = hi
     return ValueTable(spec=spec, limit=limit, values=values)
 

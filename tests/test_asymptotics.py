@@ -297,6 +297,17 @@ def test_identity_check_requires_re_s_at_least_two(sieve_1e4):
         quotient_identity_check(one, one, one, 1.5 + 0.0j)
 
 
+def test_identity_check_gives_no_verdict_at_re_s_two_for_a_class_one_quotient(sieve_1e4):
+    # as `pretense lseries --spec char:4:1 --spec2 moebius` builds it
+    chi, mu = dirichlet_character(4, 1), standard_spec("moebius")
+    h = solve_quotient(chi, mu, primes=(2, 3, 5), max_exponent=18).spec
+    tables = [evaluate(spec, sieve_1e4) for spec in (chi, mu, h)]
+    at_two = quotient_identity_check(*tables, 2.0)
+    assert at_two.combined_bound is None and at_two.ok is None
+    above = quotient_identity_check(*tables, 2.5)
+    assert isinstance(above.ok, bool) and above.combined_bound is not None
+
+
 # ---------------------------------------------------------------------------
 # the sane-variant growth probe: a twist of a cancelling base stays tame
 

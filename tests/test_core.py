@@ -34,6 +34,7 @@ from pretense.constructions import (
     phase_sum_partials,
     squarefree_restrict,
     standard_spec,
+    tabulated_spec,
 )
 from pretense.degree import degree_d_spec
 from pretense.errors import InvalidArgumentError, LimitError, OutOfRangeError, RuleError
@@ -138,6 +139,49 @@ def test_tables_do_not_depend_on_block(limit):
     assert rest.tolist() == [n // q if n else 1 for n, q in enumerate(want_pk)]
 
 
+_SQUARES = [p * p for p in brute_primes(33)]
+
+
+@given(st.one_of(
+    st.integers(min_value=2, max_value=1100),
+    st.sampled_from(_CHUNK_EDGES),
+    st.sampled_from(_SQUARES).flatmap(lambda q: st.sampled_from([q - 1, q, q + 1])),
+))
+@settings(max_examples=30, deadline=None)
+def test_sieve_does_not_depend_on_segment(limit):
+    results = []
+    for seg, block in [(s, b) for s in (1, 2, 3, 64, core.SEGMENT) for b in (1, 3, core.BLOCK)]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "SEGMENT", seg)
+            mp.setattr(core, "BLOCK", block)
+            sv = build_sieve(limit)
+        assert sv.spf.dtype == np.int32 and sv.primes.dtype == np.int64
+        results.append((sv.spf.tobytes(), sv.primes.tobytes()))
+    assert all(r == results[0] for r in results[1:])
+    assert sv.primes.tolist() == brute_primes(limit)
+    want = [0, 0] + [brute_factorize(n)[0][0] for n in range(2, limit + 1)]
+    assert sv.spf.tolist() == want
+
+
+def test_sieve_allocates_spf_primes_and_one_block():
+    limit = 2 * 10**5
+    for seg, block in ((1 << 12, 1 << 10), (core.SEGMENT, 1 << 10), (core.SEGMENT, core.BLOCK)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "SEGMENT", seg)
+            mp.setattr(core, "BLOCK", block)
+            tracemalloc.start()
+            try:
+                sv = build_sieve(limit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a BLOCK's mask and prime offsets, and the O(√N) base primes; at
+        # BLOCK = 2^10 a full-length temporary (1 B/n), a segment's mask or a
+        # second prime list does not fit
+        slack = 9 * block + 64 * math.isqrt(limit)
+        assert peak <= 4 * (limit + 1) + 8 * sv.primes.size + slack, (seg, block)
+
+
 # _TABLE_SPECS, a complex character and a tabulated general multiplicative spec
 _REFERENCE_SPECS = [spec for spec, _ in _TABLE_SPECS] + [
     dirichlet_character(7, 1),
@@ -164,6 +208,37 @@ def test_evaluate_matches_the_pk_rest_fill(limit, data):
                     assert got.dtype == _table_dtype(spec, n), (spec.name, n)
                     want = pk_rest_evaluate(spec, sv, n, got.dtype)
                     assert got.tobytes() == want.tobytes(), (b, spec.name, n)
+
+
+_SIGNED_REALS = (-1.0, -0.5, -0.0, 0.0, 0.25, 1.0)
+_SIGNED_COMPLEX = _SIGNED_REALS + (1j, -1j, complex(-0.0, -0.0), complex(-1.0, -0.0))
+
+
+@given(st.one_of(st.integers(min_value=2, max_value=600), st.sampled_from(_CHUNK_EDGES)),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_real_fill_keeps_signed_zeros(limit, seed):
+    # f(2) has real part -0.0, so f(2) = f(2)·1.0 and f(6) = f(2)·f(3) keep
+    # it in a real table; f(4) = -1.0 flips the sign of f(4m)
+    rng = np.random.default_rng(seed)
+    cells = [(p, k) for p in brute_primes(limit) for k in range(1, limit.bit_length())
+             if p**k <= limit]
+    for choices, f2, dtype in ((_SIGNED_REALS, -0.0, np.float64),
+                               (_SIGNED_COMPLEX, complex(-0.0, 1.0), np.complex128)):
+        vals = dict(zip(cells, (choices[i] for i in rng.integers(len(choices), size=len(cells)))))
+        fixed = {(2, 1): f2, (2, 2): -1.0, (3, 1): 1.0}
+        vals.update((c, v) for c, v in fixed.items() if c in vals)
+        spec = tabulated_spec(vals)
+        for b in (1, 3, 64, core.BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "BLOCK", b)
+                sv = build_sieve(limit)
+                got = evaluate(spec, sv).values
+                assert got.dtype == dtype
+                want = pk_rest_evaluate(spec, sv, None, dtype)
+                assert got.tobytes() == want.tobytes(), (b, dtype)
+        zeros = got.real[[2, 6] if limit >= 6 else [2]]
+        assert np.all(zeros == 0) and np.all(np.signbit(zeros))
 
 
 def test_evaluate_matches_the_pk_rest_fill_in_full_blocks():
