@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from . import core
 from .asymptotics import (
     growth_fit,
     l_truncation,
@@ -96,7 +97,10 @@ def parse_spec_arg(text: str):
         s = Path(s).read_text()
     else:
         return _spec_shorthand(s)
-    return spec_from_descriptor(json.loads(s))
+    try:
+        return spec_from_descriptor(json.loads(s))
+    except RecursionError:
+        raise InvalidArgumentError("descriptor nested too deeply") from None
 
 
 def _spec_shorthand(s: str):
@@ -284,12 +288,17 @@ def _apply_config(argv: List[str]) -> List[str]:
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
+def _prime_lines(primes):
+    # the header, then one chunk of text per BLOCK primes
+    yield "p\n"
+    for i in range(0, primes.size, core.BLOCK):
+        yield "\n".join(map(str, primes[i : i + core.BLOCK].tolist())) + "\n"
+
+
 def _cmd_sieve(a) -> int:
     sv = build_sieve(a.N)
     if a.out:
-        Path(a.out).write_text(
-            "p\n" + "\n".join(str(int(p)) for p in sv.primes) + "\n"
-        )
+        _emit(_prime_lines(sv.primes), a.out)
     print(json.dumps(
         {
             "limit": int(a.N),

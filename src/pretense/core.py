@@ -18,8 +18,9 @@ SEGMENT entries that stay in L2 and allocates, besides spf, only the prime
 list and one segment's temporaries.  The cofactor and evaluate work in
 chunks of BLOCK entries, and divide n by a divisor of n as an exact float64
 quotient (n ≤ MAX_SIEVE_LIMIT < 2^53).  Besides these arrays, evaluate
-allocates nothing longer than BLOCK entries, apart from the prime values of
-a spec that is real at every prime, held until the table exists.
+allocates nothing longer than BLOCK entries but the O(√N) prime powers: it
+reads the prime map once to choose the dtype and again to fill the table,
+so it holds no prime value.
 
 Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
 Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
@@ -97,8 +98,9 @@ class FunctionSpec:
 
     prime_values(ps) is the only f(p), for an int64 array of primes.  powers
     gives f(p^k) for k >= 2 and is None exactly for completely multiplicative
-    kinds, where f(p^k) = f(p^{k-1})·f(p) as in evaluate, to the bit.  value()
-    adds f(p^0) = 1, a cache and the unit-disc check of bounded_by_one.
+    kinds, where rule() gives f(p^k) = f(p^{k-1})·f(p).  value() adds
+    f(p^0) = 1, a cache and the unit-disc check of bounded_by_one, and is
+    where evaluate takes every f(p^k), k >= 2.
     """
 
     name: str
@@ -121,7 +123,8 @@ class FunctionSpec:
 
     def rule(self, p: int, k: int) -> complex:
         """f(p^k), k >= 1.  Completely multiplicative powers multiply 1-element
-        arrays, as evaluate does: numpy may fuse multiply-adds, Python won't.
+        arrays: numpy may fuse multiply-adds where Python won't, and tables
+        keep numpy's bits.
         f(p) is memoized apart from value()'s cache, which holds only values
         that passed the unit-disc check."""
         if k == 1:
@@ -232,9 +235,10 @@ def build_sieve(limit: int) -> SieveIndex:
     walk, BLOCK entries at a time, writes them into spf and into a prime list
     allocated at the length the first walk counted.  Besides spf (4 B/n) and
     the prime list (8 B per prime), nothing longer than BLOCK entries is
-    allocated: a freed temporary longer than a complex BLOCK chunk would
-    raise glibc's mmap threshold, and evaluate's freed prime-value chunks
-    would then stay resident.
+    allocated, so the sieve peaks at its output.  A freed full-length
+    temporary would also raise glibc's mmap threshold to its size, and
+    later arrays below it, a value table among them, would then come from
+    the heap and could stay resident after they are freed.
     """
     limit = int(limit)
     if limit < 2:
@@ -321,24 +325,9 @@ def prime_values_of(spec: FunctionSpec, primes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _prime_power_values(spec: FunctionSpec, small: np.ndarray, fsmall: np.ndarray, limit: int):
+def _prime_power_values(spec: FunctionSpec, small: np.ndarray, limit: int):
     """(positions, values) of f(p^k), k >= 2 and p^k ≤ limit, for the primes
-    small ≤ √limit with f(small) = fsmall: cumulative products when
-    completely multiplicative, else spec.value.  complex128, as value() gives
-    them."""
-    if spec.kind == COMPLETELY_MULTIPLICATIVE:
-        pos, got = [small[:0]], [fsmall[:0]]
-        p_rem, pp, v_rem, acc = small, small, fsmall, fsmall
-        while True:
-            keep = pp <= limit // p_rem
-            if not keep.any():
-                break
-            p_rem, v_rem = p_rem[keep], v_rem[keep]
-            pp = pp[keep] * p_rem
-            acc = acc[keep] * v_rem
-            pos.append(pp)
-            got.append(acc)
-        return np.concatenate(pos), np.concatenate(got)
+    small ≤ √limit, from spec.value: complex128, as value() gives them."""
     pos, got = [], []
     for p in small.tolist():
         pe, k = p * p, 2
@@ -358,18 +347,18 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
     complex128 otherwise.  A real table holds the real parts of the complex
     one: the same bits, except that the sign of a zero may differ.
 
-    Primes come from the prime map, BLOCK primes at a time, higher prime
-    powers from powers or, when completely multiplicative, cumulative
-    products.  Prime values are held, chunk by chunk, until one is not real,
-    so the powers are asked before the table exists only when every prime
-    value is real.  Every other n is the single product f(pk)·f(rest) of its
-    coprime parts, rest = SieveIndex.cofactor()[n] and pk = n / rest, an
-    exact float64 quotient; both are at most n/2, so chunks (lo, min(2·lo,
-    lo + BLOCK, limit)] filled in ascending order read only finished entries,
-    and no temporary outgrows BLOCK.  A real table writes the products of a
-    whole chunk, prime powers included, where f(n)·f(1) is f(n) to the bit;
-    a complex one writes only the composites.  Cost is O(N) array work after
-    the sieve.
+    Every f(p^k), k >= 2, comes from spec.value, and primes from the prime
+    map, BLOCK primes at a time.  The dtype is chosen before the table
+    exists: the powers first, then the prime map chunk by chunk up to the
+    first chunk that is not real.  The table is filled from a second read of
+    the prime map, so no prime value is held.  Every other n is the single
+    product f(pk)·f(rest) of its coprime parts, rest =
+    SieveIndex.cofactor()[n] and pk = n / rest, an exact float64 quotient;
+    both are at most n/2, so chunks (lo, min(2·lo, lo + BLOCK, limit)] filled
+    in ascending order read only finished entries, and no temporary outgrows
+    BLOCK.  A real table writes the products of a whole chunk, prime powers
+    included, where f(n)·f(1) is f(n) to the bit; a complex one writes only
+    the composites.  Cost is O(N) array work after the sieve.
     """
     if limit is None:
         limit = sieve.limit
@@ -383,15 +372,11 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
     primes = sieve.primes[: np.searchsorted(sieve.primes, limit, side="right")]
     # only primes p ≤ √limit have p² ≤ limit
     small = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
-    held, powers = [], None
-    for a in range(0, primes.size, BLOCK):
-        held.append(prime_values_of(spec, primes[a : a + BLOCK]))
-        if held[-1].imag.any():
-            break
-    else:  # the leading chunks hold f at the primes ≤ √limit
-        fsmall = np.concatenate(held[: small.size // BLOCK + 1])[: small.size]
-        powers = _prime_power_values(spec, small, fsmall, limit)
-    real = powers is not None and not powers[1].imag.any()
+    pos, powers = _prime_power_values(spec, small, limit)
+    chunks = range(0, primes.size, BLOCK)
+    real = not powers.imag.any() and not any(
+        prime_values_of(spec, primes[a : a + BLOCK]).imag.any() for a in chunks
+    )
     dtype = np.float64 if real else np.complex128
     cast = np.real if real else np.asarray
     try:
@@ -402,14 +387,10 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
             " for the value table"
         ) from exc
     values[1] = 1.0
-
-    held.reverse()  # each held chunk is freed once written
-    for a in range(0, primes.size, BLOCK):
+    for a in chunks:
         ps = primes[a : a + BLOCK]
-        values[ps] = cast(held.pop() if held else prime_values_of(spec, ps))
-    if powers is None:
-        powers = _prime_power_values(spec, small, values[small], limit)
-    values[powers[0]] = cast(powers[1])
+        values[ps] = cast(prime_values_of(spec, ps))
+    values[pos] = cast(powers)
 
     # The product stays a multiply of two fresh contiguous gathers: numpy's
     # loops for a scalar, strided or aliased operand can round the last bit

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,17 @@ from pretense.core import build_sieve
 
 # one pass/fail line per acceptance criterion, printed at session end
 ACCEPTANCE_LINES = []
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for a
+    child `python -m pretense.cli`: pytest's pythonpath setting reaches only
+    its own process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def record_acceptance(number: int, name: str, passed: bool, detail: str) -> None:

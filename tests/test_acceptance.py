@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from conftest import record_acceptance
+from conftest import cli_env, record_acceptance
 
 
 def _row(rows, name):
@@ -157,7 +157,7 @@ def test_criterion_13_thread_count_determinism(tmp_path):
             [sys.executable, "-m", "pretense.cli", "verify", "thm1",
              "--seed", "1729", "--threads", str(threads),
              "--out", str(tmp_path / sub)],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=cli_env(),
         )
 
     r1 = run(1, "a")

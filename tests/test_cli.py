@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pretense import core
+from pretense import cli, core
 from pretense.asymptotics import xi_from_sums
 from pretense.cli import ExperimentConfig, main, parse_checkpoints, parse_spec_arg
 from pretense.dirichlet import convolve_table
 
+from conftest import cli_env
 from oracles import reference_csv
 
 
@@ -25,6 +26,7 @@ def run_cli(*args):
         [sys.executable, "-m", "pretense.cli", *args],
         capture_output=True,
         text=True,
+        env=cli_env(),
     )
 
 
@@ -295,6 +297,12 @@ def test_non_finite_checkpoints_give_one_error_line(capsys, cps):
     assert capsys.readouterr().err.splitlines() == ["error: checkpoints must be finite"]
 
 
+def _nested_descriptor(depth: int) -> str:
+    # squarefree-restrict applied `depth` times to the constant one
+    return ('{"construction":"squarefree-restrict","base":' * depth
+            + '{"construction":"one"}' + "}" * depth)
+
+
 @pytest.mark.parametrize("desc, err", [
     ('{"construction":"character"}', "'character' descriptor needs field 'q'"),
     ('{"construction":"character","q":"x","index":1}',
@@ -305,6 +313,9 @@ def test_non_finite_checkpoints_give_one_error_line(capsys, cps):
      "'degree-d' descriptor field 'constituents' is invalid: 5"),
     ('{"construction":"tabulated","values":[[2,1]]}',
      "'tabulated' descriptor field 'values' is invalid: [[2, 1]]"),
+    # deeper than the recursion limit of spec_from_descriptor, then of json.loads
+    pytest.param(_nested_descriptor(600), "descriptor nested too deeply", id="nested-600"),
+    pytest.param(_nested_descriptor(3000), "descriptor nested too deeply", id="nested-3000"),
 ])
 def test_bad_descriptor_fields_give_one_error_line(capsys, desc, err):
     assert main(["sums", "--spec", desc, "--N", "100"]) == 1
@@ -435,6 +446,28 @@ def test_overflowing_modulus_gives_one_error_line_and_no_file(tmp_path, capsys):
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("block", [1, 3, core.BLOCK])
+def test_sieve_out_file_does_not_depend_on_block(tmp_path, capsys, monkeypatch, block):
+    monkeypatch.setattr(core, "BLOCK", block)
+    out = tmp_path / "primes.txt"
+    assert main(["sieve", "--N", "1e5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == '{"count": 9592, "largest": 99991, "limit": 100000}\n'
+    assert _sha(out.read_bytes()) == (
+        "c3619ea2991c7ecfafb0d556367ea1876f42dfcd0bedbf6e338972b8f2edfa9d")
+
+
+def test_failed_sieve_out_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def lines(primes):
+        yield "p\n"
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_prime_lines", lines)
+    out = tmp_path / "primes.txt"
+    assert main(["sieve", "--N", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: disk full"]
+    assert not out.exists()
 
 
 # sha256 of the stdout of each small JSON command: the report format is part

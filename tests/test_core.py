@@ -31,6 +31,7 @@ from pretense.constructions import (
     archimedean_twist,
     dirichlet_character,
     kronecker_character,
+    optimality_twist,
     phase_sum_partials,
     squarefree_restrict,
     standard_spec,
@@ -182,10 +183,18 @@ def test_sieve_allocates_spf_primes_and_one_block():
         assert peak <= 4 * (limit + 1) + 8 * sv.primes.size + slack, (seg, block)
 
 
-# _TABLE_SPECS, a complex character and a tabulated general multiplicative spec
+# _TABLE_SPECS, a complex character, a twist that is real at 2 and 3 only, and
+# two specs tabulated to 1100: a random general multiplicative one, and one
+# that is real at every prime but has f(4) = i
 _REFERENCE_SPECS = [spec for spec, _ in _TABLE_SPECS] + [
     dirichlet_character(7, 1),
+    optimality_twist(dirichlet_character(4, 1), 0.5, diagnostics_cutoff=1100),
     random_spec(11, limit=1100, kind=GENERAL_MULTIPLICATIVE),
+    tabulated_spec(
+        {(p, k): 1j if p**k == 4 else (-1.0) ** k / p
+         for p in brute_primes(1100) for k in range(1, 11) if p**k <= 1100},
+        name="real-primes-complex-4", kind=GENERAL_MULTIPLICATIVE,
+    ),
 ]
 
 
@@ -244,7 +253,7 @@ def test_real_fill_keeps_signed_zeros(limit, seed):
 def test_evaluate_matches_the_pk_rest_fill_in_full_blocks():
     limit = 4 * core.BLOCK + 5  # the last chunks are BLOCK long
     sv = build_sieve(limit)
-    for spec in _REFERENCE_SPECS[:-1] + [
+    for spec in _REFERENCE_SPECS[:-2] + [
         random_spec(12, limit=limit, kind=GENERAL_MULTIPLICATIVE),
         random_spec(13, limit=limit, kind=COMPLETELY_MULTIPLICATIVE),
     ]:
@@ -278,6 +287,29 @@ def test_evaluate_holds_the_table_and_one_cofactor_array():
     assert warm_real <= 8 * (limit + 1) + few_blocks
     sv.power_cofactor()  # builds pk afresh and does not cache it
     assert [np.asarray(v).nbytes for v in sv._cache.values()] == [4 * (limit + 1)]
+
+
+def test_real_evaluate_holds_no_prime_values():
+    # at BLOCK = 2^10 the 16 B complex values of the 17,984 primes <= 2e5
+    # (288 KB) do not fit beside the table
+    limit = 2 * 10**5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "BLOCK", 1 << 10)
+        sv = build_sieve(limit)
+        sv.cofactor()
+        slack = 8 * 16 * core.BLOCK + 64 * math.isqrt(limit)
+        for spec in (standard_spec("liouville"),
+                     degree_d_spec([kronecker_character(-4), kronecker_character(-3)]),
+                     dirichlet_character(4, 1)):
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                values = evaluate(spec, sv).values
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert values.dtype == np.float64, spec.name
+            assert peak <= 8 * (limit + 1) + slack, spec.name
 
 
 def test_sieve_limit_guard():
