@@ -265,9 +265,12 @@ class ExperimentConfig:
         for key, value in self.sections.get("args", {}).items():
             out.extend([f"--{key}", value])
         for section, flag in (("spec", "--spec"), ("spec2", "--spec2")):
-            desc = self._section_descriptor(section)
-            if desc is not None:
-                out.extend([flag, json.dumps(desc, sort_keys=True)])
+            try:  # a value or a dotted key may nest past the recursion limit
+                desc = self._section_descriptor(section)
+                if desc is not None:
+                    out.extend([flag, json.dumps(desc, sort_keys=True)])
+            except RecursionError:
+                raise InvalidArgumentError("descriptor nested too deeply") from None
         return out
 
 

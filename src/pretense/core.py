@@ -27,11 +27,16 @@ Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
 as summing in twice the working precision, in an order fixed by the data
 alone.  checkpointed_sums gathers it at positions and running_max folds
 max_{n ≤ x} |S(n)| from it; the chunk length BLOCK, the summation mode and
-the thread count never change its bits.
+the thread count never change its bits.  A chunk of whole terms whose
+running sums stay below 2^52, as for μ, λ and the real characters, adds
+exactly, so its TwoSum errors are zero: the kernel sees this from the data
+and skips the error pass, with the same bits.
 
 Tables and series travel as CSV rows n_or_x,re,im,abs.  The codec is
-columnar: csv_chunks formats BLOCK rows at a time, a column per numpy pass
-(whole numbers as integers, the rest as repr), and read_series_csv parses
+columnar: csv_chunks formats BLOCK rows at a time.  A chunk of whole cells
+is written by numpy digit arithmetic into one byte buffer, decoded once;
+in any other chunk each column holds its whole cells, formatted the same
+way, beside the repr of each distinct other value.  read_series_csv parses
 the body with numpy's C parser.  The bytes are those of the plain per-row
 formatter it replaced, and a round trip keeps every bit except the sign of
 a zero, written "0", and the payload of a NaN.
@@ -44,7 +49,6 @@ report is strict JSON.  No report class encodes itself.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -212,7 +216,7 @@ class SieveIndex:
         """int32 arrays (pk, rest) with n = pk[n] * rest[n], pk[n] the full
         power of spf[n] dividing n and rest = cofactor(); both are 1 at n = 0,
         1.  pk is built on each call and not cached.  Deleted together with
-        spf once evaluation is segmented (ROADMAP item 1), which also changes
+        spf once evaluation is segmented (ROADMAP item 2), which also changes
         the benchmark that calls it.
         """
         rest = self.cofactor()
@@ -436,6 +440,20 @@ def resolve_threads(threads: Optional[int]) -> int:
     return threads
 
 
+def _whole_below_2_52(flat: np.ndarray, scratch: np.ndarray) -> bool:
+    """Whether every value of flat is whole and Σ|flat| < 2^52, checked in
+    scratch of flat's size.  The first 64 values are tested alone first, in
+    Python, so a chunk that is not whole costs about a microsecond.  ±inf
+    are whole to the full test; the bound rejects them.  The float64 sum of
+    nonnegative values is below 2^52 only if the exact sum is, as every
+    partial sum below 2^53 is exact."""
+    if not all(map(float.is_integer, flat[:64].tolist())):
+        return False
+    np.trunc(flat, out=scratch)
+    return bool((scratch == flat).all()) and np.add.reduce(
+        np.abs(flat, out=scratch)) < 2.0**52
+
+
 def _sum2_chunks(terms):
     """Yield (a, S) per chunk of terms, an array read BLOCK terms at a time or
     an iterable of arrays of at most BLOCK terms: S[j] is the Sum2 prefix of
@@ -447,6 +465,13 @@ def _sum2_chunks(terms):
     one unchunked cumsum would.  The sum is real until the first chunk with
     a nonzero imaginary part: complex adds are componentwise and Sum2 of
     signed zeros is +0.0, so that gives the bits of one complex pass.
+
+    A chunk whose carried s and terms (both parts, if complex) are whole
+    with Σ|·| < 2^52, as for μ, λ and the real characters, adds exactly:
+    every e_i is +0.0, so E stays the carried E and S = s + E.  Such a chunk
+    skips the TwoSum steps and the second cumsum, with the same bits.  The
+    carried E is never -0.0: it starts at +0.0, and each e_i is +0.0,
+    nonzero or NaN.
     """
     if isinstance(terms, np.ndarray):
         terms = np.split(terms, range(BLOCK, terms.size, BLOCK))
@@ -460,7 +485,13 @@ def _sum2_chunks(terms):
         sv, ev, tv = buf[0, : m + 1], buf[1, : m + 1], buf[2, :m]
         sv[0] = s_carry
         sv[1:] = xs
+        exact = _whole_below_2_52(sv.view(np.float64), ev.view(np.float64))
         np.cumsum(sv, out=sv)
+        if exact:
+            s_carry = sv[m]
+            yield a, np.add(sv[1:], e_carry, out=tv)
+            a += m
+            continue
         prev, cur, z = sv[:-1], sv[1:], ev[1:]
         np.subtract(cur, prev, out=z)
         np.subtract(cur, z, out=tv)
@@ -598,35 +629,61 @@ def geometric_checkpoints(lo: float, hi: float, ratio: float = GRID_RATIO) -> np
 # point, formatted and parsed a column at a time
 
 
-# Integers k with |k| <= _SMALL_INT are looked up rather than formatted:
-# value tables and the partial sums of bounded functions are mostly small.
-_SMALL_INT = 1 << 12
+_POW10 = 10 ** np.arange(1, 16, dtype=np.int64)
 
 
-@functools.cache
-def _small_int_text() -> np.ndarray:
-    return np.array([str(k) for k in range(-_SMALL_INT, _SMALL_INT + 1)], dtype=object)
+def _int_rows(ints: np.ndarray) -> str:
+    """Text of rows of k integer cells, ints of shape (k, rows) and |v| < 2^53:
+    cells joined by "," and each row ended by "\n".
+
+    Each row is a line of one uint8 buffer.  Column c has a slot as wide as
+    its widest cell, in which each cell is right-aligned and NUL-padded.
+    Digits come from % 10 and // 10, in int32 when the column's values fit,
+    and stop where the rest is zero.  A minus sign goes before the leading
+    digit, found by counting the powers of ten at or below the value.  The
+    buffer is the text once the NULs are dropped."""
+    k, n = ints.shape
+    neg = ints < 0
+    mag = np.abs(ints)
+    digits = (1 + np.searchsorted(_POW10, mag.max(axis=1), side="right")).tolist()
+    signs = neg.any(axis=1).tolist()
+    out = np.zeros((n, sum(digits) + sum(signs) + k), dtype=np.uint8)
+    end = -1  # the separator after the slot of column c
+    for c in range(k):
+        end += digits[c] + signs[c] + 1
+        out[:, end] = ord(",")
+        m = mag[c]
+        if digits[c] < 10:  # below 10^9 < 2^31
+            m = m.astype(np.int32)
+        for j in range(digits[c]):
+            q = m // 10
+            d = m - 10 * q
+            d += ord("0")
+            if j:
+                d *= m != 0  # no leading zeros
+            out[:, end - 1 - j] = d
+            m = q
+        if signs[c]:
+            at = np.flatnonzero(neg[c])
+            lead = np.searchsorted(_POW10, mag[c, at], side="right")
+            out[at, end - 2 - lead] = ord("-")
+    out[:, -1] = ord("\n")
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _int_cells(ints: np.ndarray) -> list:
-    if ints.size and np.abs(ints).max() <= _SMALL_INT:
-        return _small_int_text()[ints + _SMALL_INT].tolist()
-    return list(map(str, ints.tolist()))
-
-
-def _csv_cells(col: np.ndarray) -> list:
-    """Text of a float64 column: whole numbers of magnitude below 2^53 as
-    integers (-0.0 is "0"), every other value, NaN and ±inf included, as its
-    repr, the shortest text that reads back to the same bits.
+def _csv_cells(col: np.ndarray, whole: np.ndarray) -> list:
+    """Text of a float64 column of a chunk that holds a value not whole: the
+    whole values (|v| < 2^53) as integers by _int_rows (-0.0 is "0"), every
+    other value, NaN and ±inf included, as its repr, the shortest text that
+    reads back to the same bits.
 
     repr runs once per distinct other value: those that compare equal have
     the same bits, as ±0 are whole, and every NaN reads "nan"."""
-    with np.errstate(invalid="ignore"):
-        whole = (np.abs(col) < 2.0**53) & (col == np.floor(col))
     if whole.all():
-        return _int_cells(col.astype(np.int64))
+        return _int_rows(col[None].astype(np.int64)).split("\n")[:-1]
     cells = np.empty(col.size, dtype=object)
-    cells[whole] = _int_cells(col[whole].astype(np.int64))
+    if whole.any():
+        cells[whole] = _int_rows(col[whole][None].astype(np.int64)).split("\n")[:-1]
     distinct, inverse = np.unique(col[~whole], return_inverse=True)
     text = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
     cells[~whole] = text[inverse]
@@ -656,12 +713,13 @@ def csv_chunks(xs, values):
         big = np.isinf(mag)
         if big.any() and np.any(np.isfinite(re[big]) & np.isfinite(im[big])):
             raise OverflowError("absolute value too large")
-        cols = (np.asarray(x, dtype=np.float64), re, im, mag)
-        yield "\n".join(map(",".join, zip(*map(_csv_cells, cols)))) + "\n"
-
-
-def table_csv(table: ValueTable) -> str:
-    return "".join(csv_chunks(range(1, table.limit + 1), table.values[1:]))
+        cols = np.stack((np.asarray(x, dtype=np.float64), re, im, mag))
+        with np.errstate(invalid="ignore"):
+            whole = (np.abs(cols) < 2.0**53) & (cols == np.floor(cols))
+        if whole.all():
+            yield _int_rows(cols.astype(np.int64))
+        else:
+            yield "\n".join(map(",".join, zip(*map(_csv_cells, cols, whole)))) + "\n"
 
 
 def series_csv(series: PartialSumSeries) -> str:

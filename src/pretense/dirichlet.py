@@ -268,25 +268,10 @@ def determinant(f: FunctionSpec, p: int, k: int) -> complex:
 
         D_m = Σ_{j=1}^{m} (−1)^{j−1} f(p^j) D_{m−j},    D_0 = 1,
 
-    which is what we evaluate (O(k²)).  determinant_dense keeps the direct
-    O(k³) route for cross-checking.
+    which is what we evaluate (O(k²)).  The tests hold it to numpy's
+    determinant of the k×k matrix itself.
     """
     return _determinants(f, p, k)[-1]
-
-
-def determinant_dense(f: FunctionSpec, p: int, k: int) -> complex:
-    """Direct numpy determinant of the same matrix (oracle path)."""
-    k = int(k)
-    if k < 0:
-        raise InvalidArgumentError(f"determinant order must be >= 0, got {k}")
-    if k == 0:
-        return 1.0 + 0.0j
-    a = np.zeros((k, k), dtype=np.complex128)
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i - j + 1 >= 0:
-                a[i - 1, j - 1] = f.value(p, i - j + 1)
-    return complex(np.linalg.det(a))
 
 
 def h_via_determinant(f: FunctionSpec, g: FunctionSpec, p: int, n: int) -> complex:

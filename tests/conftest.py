@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pretense.core import build_sieve
+from pretense.core import build_sieve, csv_chunks
 
 # one pass/fail line per acceptance criterion, printed at session end
 ACCEPTANCE_LINES = []
@@ -21,6 +21,11 @@ def cli_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def table_csv(table) -> str:
+    """The CSV of a value table, rows n = 1..limit, as `pretense eval` writes it."""
+    return "".join(csv_chunks(range(1, table.limit + 1), table.values[1:]))
 
 
 def record_acceptance(number: int, name: str, passed: bool, detail: str) -> None:

@@ -142,6 +142,20 @@ def brute_quotient_local(f_coeffs, g_coeffs):
     return h
 
 
+def determinant_dense(f, p: int, k: int) -> complex:
+    """D_f(k, p) as numpy's determinant of the k×k matrix a_ij = f(p^{i−j+1}),
+    zero where i − j + 1 < 0: the direct O(k³) route beside the library's
+    recurrence."""
+    if k == 0:
+        return 1.0 + 0.0j
+    a = np.zeros((k, k), dtype=np.complex128)
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            if i - j + 1 >= 0:
+                a[i - 1, j - 1] = f.value(p, i - j + 1)
+    return complex(np.linalg.det(a))
+
+
 def brute_elementary_symmetric(k: int, xs):
     """e_k by expanding prod (1 + x_i t) with a list of coefficients."""
     coeffs = [1.0 + 0j]
@@ -188,6 +202,46 @@ def brute_squarefree_char_sums(residues, limit: int, checkpoints):
                 acc += residues[n % q]
         out.append(acc)
     return out
+
+
+def sum2_chunks(terms):
+    """The Sum2 kernel of core._sum2_chunks with the TwoSum steps and the
+    second cumsum run on every chunk, whole or not: the byte reference of
+    the exact path for whole chunks.  Yields (a, S) per chunk of core.BLOCK
+    terms."""
+    from pretense import core
+
+    if isinstance(terms, np.ndarray):
+        terms = np.split(terms, range(core.BLOCK, terms.size, core.BLOCK))
+    buf, a = np.empty((3, core.BLOCK + 1)), 0
+    s_carry = e_carry = 0.0
+    for xs in terms:
+        if buf.dtype == np.float64 and np.iscomplexobj(xs) and xs.imag.any():
+            buf = np.empty((3, core.BLOCK + 1), dtype=np.complex128)
+        xs = xs if buf.dtype == np.complex128 else xs.real
+        m = xs.size
+        sv, ev, tv = buf[0, : m + 1], buf[1, : m + 1], buf[2, :m]
+        sv[0] = s_carry
+        sv[1:] = xs
+        np.cumsum(sv, out=sv)
+        prev, cur, z = sv[:-1], sv[1:], ev[1:]
+        np.subtract(cur, prev, out=z)
+        np.subtract(cur, z, out=tv)
+        np.subtract(prev, tv, out=tv)
+        np.subtract(xs, z, out=z)
+        np.add(tv, z, out=z)  # (prev - (cur - z)) + (x - z), z = cur - prev
+        ev[0] = e_carry
+        np.cumsum(ev, out=ev)
+        s_carry, e_carry = sv[m], ev[m]
+        yield a, np.add(cur, ev[1:], out=tv)
+        a += m
+
+
+def sum2_prefixes(terms) -> np.ndarray:
+    """S(0), S(1), ..., S(n) of sum2_chunks as complex128, S(0) = 0."""
+    out = [np.zeros(1, dtype=np.complex128)]
+    out += [S.astype(np.complex128) for _, S in sum2_chunks(terms)]
+    return np.concatenate(out)
 
 
 def _csv_cell(v) -> str:

@@ -322,6 +322,19 @@ def test_bad_descriptor_fields_give_one_error_line(capsys, desc, err):
     assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
 
 
+@pytest.mark.parametrize("spec", [
+    # a dotted key 3000 deep, past the recursion limit of json.dumps
+    {".".join(["base"] * 3000) + ".construction": "one"},
+    # a value 5000 deep, past the recursion limit of json.loads
+    {"construction": "one", "base": "[" * 5000 + "]" * 5000},
+], ids=["deep-key", "deep-value"])
+def test_deep_config_descriptor_gives_one_error_line(capsys, tmp_path, spec):
+    path = tmp_path / "deep.cfg"
+    ExperimentConfig({"spec": spec}).dump(path)
+    assert main(["sums", "--config", str(path), "--N", "100"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: descriptor nested too deeply"]
+
+
 @pytest.mark.parametrize("cps", ["a,b", "1:2:3", "10,"])
 def test_unparsable_checkpoints_give_one_error_line(capsys, cps):
     assert main(["sums", "--spec", "one", "--N", "100", f"--checkpoints={cps}"]) == 1

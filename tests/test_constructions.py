@@ -31,7 +31,6 @@ from pretense.core import (
     geometric_checkpoints,
     partial_sums,
     prime_values_of,
-    table_csv,
 )
 from pretense.degree import degree_d_spec, perturbed_member
 from pretense.dirichlet import (
@@ -43,6 +42,7 @@ from pretense.dirichlet import (
 from pretense.errors import InvalidArgumentError, OutOfRangeError
 from pretense.randspecs import random_pair_sparse_diff, random_spec
 
+from conftest import table_csv
 from oracles import (
     brute_factorize,
     brute_moebius,

@@ -1,6 +1,8 @@
 import ast
+import inspect
 import json
 import math
+import textwrap
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -25,7 +27,6 @@ from pretense.core import (
     partial_sums,
     read_series_csv,
     series_csv,
-    table_csv,
 )
 from pretense.constructions import (
     archimedean_twist,
@@ -41,6 +42,7 @@ from pretense.degree import degree_d_spec
 from pretense.errors import InvalidArgumentError, LimitError, OutOfRangeError, RuleError
 from pretense.randspecs import random_spec
 
+from conftest import table_csv
 from oracles import (
     brute_divisor_count,
     brute_factorize,
@@ -49,6 +51,7 @@ from oracles import (
     brute_primes,
     pk_rest_evaluate,
     real_at_prime_powers,
+    sum2_prefixes,
 )
 
 
@@ -766,6 +769,89 @@ def test_chunked_sum2_is_the_array_sum2(pairs, kind, block, data):
     pos = np.arange(1, terms.size + 1)
     assert joined.real.tobytes() == checkpointed_sums(terms.real, pos).real.tobytes()
     assert joined.imag.tobytes() == checkpointed_sums(terms.imag, pos).real.tobytes()
+
+
+def _matches_sum2_reference(values) -> bool:
+    """checkpointed_sums at every position and running_max at every n give
+    the bytes of oracles.sum2_prefixes, which runs the TwoSum steps on every
+    chunk, and of its running max of |S|."""
+    want = sum2_prefixes(values)
+    table = core.ValueTable(standard_spec("one"), values.size, np.concatenate([[0], values]))
+    series, peaks = core.running_max(table, np.arange(1.0, values.size + 1))
+    return (
+        checkpointed_sums(values, np.arange(values.size + 1)).tobytes() == want.tobytes()
+        and series.sums.tobytes() == want[1:].tobytes()
+        and peaks.tobytes() == np.maximum.accumulate(np.abs(want[1:])).tobytes()
+    )
+
+
+_SUM2_PIECES = st.one_of(
+    # whole and small: chunks of these alone take the exact path
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=70),
+    # 2^e + x drops x into the TwoSum error, and s comes back whole: the
+    # exact chunks after it carry a nonzero E
+    st.builds(lambda e, x: [2.0**e, x, -(2.0**e)],
+              st.integers(53, 60), st.sampled_from((1.0, 0.5, 3.0, -1.0))),
+    # whole, but Σ|x| reaches 2^52 or 2^53: the exact path must fall back
+    st.lists(st.sampled_from((2.0**52 - 1, 2.0**51, -(2.0**52), 2.0**53 - 1,
+                              -(2.0**53 - 1), 1.0)), min_size=1, max_size=6),
+    st.lists(_scaled, min_size=1, max_size=6),
+    st.lists(st.sampled_from((math.inf, -math.inf, 0.0, -0.0, math.nan)),
+             min_size=1, max_size=3),
+)
+
+
+@given(
+    st.lists(_SUM2_PIECES, min_size=1, max_size=8),
+    st.sampled_from(("real", "signed-zero-imag", "complex")),
+    st.lists(_SUM2_PIECES, min_size=1, max_size=8),
+    st.sampled_from((1, 3, 64, core.BLOCK)),
+)
+@settings(max_examples=150, deadline=None)
+def test_exact_path_is_the_full_sum2(re_pieces, kind, im_pieces, block):
+    re = np.concatenate(re_pieces)
+    if kind == "real":
+        values = re
+    else:
+        values = re.astype(np.complex128)
+        im = np.resize(np.concatenate(im_pieces), re.size)
+        values.imag = np.copysign(0.0, im) if kind == "signed-zero-imag" else im
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(core, "BLOCK", block)
+        assert _matches_sum2_reference(values)
+
+
+# 2^53 + 1 rounds to 2^53, so the first chunk of three ends with s = 0 and
+# E = 1; the whole chunks after it take the exact path with that E
+_CARRIED_E = np.array([2.0**53, 1.0, -(2.0**53), 1.0, 2.0, -1.0, 3.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("values", [_CARRIED_E, _CARRIED_E + 1j * _CARRIED_E[::-1]],
+                         ids=["real", "complex"])
+def test_exact_path_keeps_the_carried_error(values, monkeypatch):
+    monkeypatch.setattr(core, "BLOCK", 3)
+    assert _matches_sum2_reference(values)
+    total = complex(math.fsum(values.real), math.fsum(np.imag(values)))
+    assert checkpointed_sums(values, [9])[0] == total
+    # negative control: the kernel with an exact path that drops the carried E
+    src = textwrap.dedent(inspect.getsource(core._sum2_chunks))
+    dropped = src.replace("np.add(sv[1:], e_carry, out=tv)", "sv[1:]")
+    assert dropped != src
+    scope = dict(vars(core))
+    exec(dropped, scope)
+    monkeypatch.setattr(core, "_sum2_chunks", scope["_sum2_chunks"])
+    assert not _matches_sum2_reference(values)
+
+
+def test_exact_path_needs_sums_below_2_52(monkeypatch):
+    # whole terms, but 2^53 + 1 rounds: only the TwoSum errors keep the 1s
+    values = np.array([2.0**53, 1.0, 1.0, -(2.0**53)])
+    assert _matches_sum2_reference(values)
+    assert checkpointed_sums(values, [4])[0] == 2.0
+    # negative control: an exact path for every whole chunk, with no bound
+    monkeypatch.setattr(core, "_whole_below_2_52",
+                        lambda flat, scratch: bool((np.trunc(flat) == flat).all()))
+    assert not _matches_sum2_reference(values)
 
 
 def test_series_terms_are_made_a_block_at_a_time(sieve_1e6):

@@ -14,10 +14,10 @@ from pretense.core import (
     csv_chunks,
     read_series_csv,
     series_csv,
-    table_csv,
 )
 from pretense.errors import InvalidArgumentError
 
+from conftest import table_csv
 from oracles import reference_csv
 
 TOP = 2.0**53

@@ -15,7 +15,6 @@ from pretense.dirichlet import (
     convolve_table,
     determinant,
     determinant_bound_check,
-    determinant_dense,
     dirichlet_inverse,
     h_via_determinant,
     is_prime,
@@ -24,7 +23,13 @@ from pretense.dirichlet import (
 from pretense.errors import InvalidArgumentError, LimitError
 from pretense.randspecs import random_spec
 
-from oracles import brute_convolve, brute_primes, brute_quotient_local, divisor_fold
+from oracles import (
+    brute_convolve,
+    brute_primes,
+    brute_quotient_local,
+    determinant_dense,
+    divisor_fold,
+)
 
 
 # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the bases 2,
