@@ -3,11 +3,18 @@
 Exit codes: 0 on success, 1 on a computation error (bad spec, out-of-range
 argument, a verify bundle with failing rows), 2 on a usage error.
 
-Spec arguments (--spec, --spec2) accept, in order of trial:
-  * a builtin name: one, delta, moebius, liouville
-  * shorthand: char:Q:INDEX, kron:D, twist:T, random:SEED[:LIMIT[:KIND]]
-  * inline descriptor JSON (starts with "{"), @FILE, or a path to a .json
-    file holding a descriptor as emitted by `construct`
+Spec arguments (--spec, --spec2, each item of --constituents) are read as a
+descriptor for constructions.spec_from_descriptor: inline JSON (starts with
+"{"), @FILE or a path to a .json file as `construct` emits it, a builtin name
+(one, delta, moebius, liouville), or the shorthand char:Q:INDEX, kron:D,
+twist:T, random:SEED[:LIMIT[:KIND]] (KIND cm or gm).
+
+`construct NAME` builds {"construction": NAME, ...} from every flag given:
+--spec -> base, --intervals -> exponents, --N -> limit (default 1e4),
+--cutoff -> diagnostics_cutoff, --constituents -> constituents, and --q,
+--index, --D, --t, --beta, --seed under their own names; random also gets
+kind completely-multiplicative.  A field that NAME needs and no flag gives
+fails as in a descriptor file: "'character' descriptor needs field 'q'".
 
 Checkpoint grids (--checkpoints) accept a comma list ("10,100,1000") or a
 geometric range "LO:HI" on the default ratio.
@@ -24,6 +31,7 @@ import math
 import os
 import sys
 from configparser import RawConfigParser
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
@@ -42,17 +50,7 @@ from .asymptotics import (
     EXACT,
     NEAREST,
 )
-from .constructions import (
-    archimedean_twist,
-    dirichlet_character,
-    kronecker_character,
-    optimality_twist,
-    spec_descriptor,
-    spec_from_descriptor,
-    sparse_dyadic,
-    squarefree_restrict,
-    standard_spec,
-)
+from .constructions import STANDARD_NAMES, spec_descriptor, spec_from_descriptor
 from .core import (
     BLOCK_PARALLEL,
     COMPLETELY_MULTIPLICATIVE,
@@ -67,8 +65,8 @@ from .core import (
     read_series_csv,
     resolve_threads,
 )
-from .degree import alpha_coeffs, degree_d_spec, recursion_residual
-from .dirichlet import dirichlet_inverse, solve_quotient
+from .degree import alpha_coeffs, recursion_residual
+from .dirichlet import dirichlet_inverse, is_prime, solve_quotient
 from .errors import InvalidArgumentError, PretenseError
 from .metrics import (
     distance_beta,
@@ -78,60 +76,71 @@ from .metrics import (
     quotient_abs_series,
     quotient_square_series,
 )
-from .randspecs import random_spec
 from .verify import BUNDLES, DEFAULT_SEED, bundle_json, run_bundle
-
-_STANDARD_NAMES = ("one", "delta", "moebius", "liouville")
 
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
-def parse_spec_arg(text: str):
-    s = text.strip()
-    if s.startswith("@"):
-        s = Path(s[1:]).read_text()
-    elif s.startswith("{"):
-        pass
-    elif s.endswith(".json") and os.path.exists(s):
-        s = Path(s).read_text()
-    else:
-        return _spec_shorthand(s)
+@contextmanager
+def _nesting_guard():
+    # json and spec_from_descriptor recurse once per level of nesting
     try:
-        return spec_from_descriptor(json.loads(s))
+        yield
     except RecursionError:
         raise InvalidArgumentError("descriptor nested too deeply") from None
 
 
-def _spec_shorthand(s: str):
-    if s in _STANDARD_NAMES:
-        return standard_spec(s)
+def parse_spec_arg(text: str):
+    with _nesting_guard():
+        return spec_from_descriptor(_spec_arg_descriptor(text))
+
+
+def _spec_arg_descriptor(text: str) -> dict:
+    """The descriptor a spec argument names (see the module docstring)."""
+    s = text.strip()
+    if s.startswith("@") or (s.endswith(".json") and os.path.exists(s)):
+        return json.loads(Path(s.removeprefix("@")).read_text())
+    if s.startswith("{"):
+        return json.loads(s)
+    if s in STANDARD_NAMES:
+        return {"construction": s}
     head, _, rest = s.partition(":")
     try:
         if head == "char":
             q, ix = rest.split(":")
-            return dirichlet_character(int(q), int(ix))
+            return {"construction": "character", "q": int(q), "index": int(ix)}
         if head == "kron":
-            return kronecker_character(int(rest))
+            return {"construction": "kronecker", "D": int(rest)}
         if head == "twist":
-            return archimedean_twist(float(rest))
+            return {"construction": "archimedean-twist", "t": float(rest)}
         if head == "random":
             parts = rest.split(":")
-            seed = int(parts[0])
-            limit = int(float(parts[1])) if len(parts) > 1 else 10**4
-            kind = parts[2] if len(parts) > 2 else "cm"
-            kind_name = {
-                "cm": COMPLETELY_MULTIPLICATIVE,
-                "gm": GENERAL_MULTIPLICATIVE,
-            }[kind]
-            return random_spec(seed, limit=limit, kind=kind_name)
+            seed, limit, kind = parts + ["1e4", "cm"][len(parts) - 1:]
+            kind = {"cm": COMPLETELY_MULTIPLICATIVE, "gm": GENERAL_MULTIPLICATIVE}[kind]
+            return {"construction": "random", "seed": int(seed),
+                    "limit": int(float(limit)), "kind": kind}
     except (ValueError, KeyError) as exc:
         raise InvalidArgumentError(f"cannot parse spec shorthand {s!r}: {exc}")
     raise InvalidArgumentError(
-        f"cannot parse spec {s!r}; expected a builtin name {_STANDARD_NAMES}, "
+        f"cannot parse spec {s!r}; expected a builtin name {STANDARD_NAMES}, "
         "char:Q:INDEX, kron:D, twist:T, random:SEED, descriptor JSON, or a "
         "descriptor file path"
     )
+
+
+def _constituent_descriptors(text: str) -> list:
+    """The descriptors of a comma list of spec arguments; a comma inside
+    inline JSON braces or brackets does not split (a brace or bracket inside
+    a JSON string still counts)."""
+    items, depth = [""], 0
+    for ch in text:
+        depth += (ch in "{[") - (ch in "}]")
+        if ch == "," and depth == 0:
+            items.append("")
+        else:
+            items[-1] += ch
+    return [_spec_arg_descriptor(s) for s in items if s]
 
 
 def parse_checkpoints(text: Optional[str], n: int):
@@ -265,12 +274,10 @@ class ExperimentConfig:
         for key, value in self.sections.get("args", {}).items():
             out.extend([f"--{key}", value])
         for section, flag in (("spec", "--spec"), ("spec2", "--spec2")):
-            try:  # a value or a dotted key may nest past the recursion limit
+            with _nesting_guard():  # a value or a dotted key may nest deeply
                 desc = self._section_descriptor(section)
                 if desc is not None:
                     out.extend([flag, json.dumps(desc, sort_keys=True)])
-            except RecursionError:
-                raise InvalidArgumentError("descriptor nested too deeply") from None
         return out
 
 
@@ -342,7 +349,11 @@ def _cmd_convolve(a) -> int:
 def _parse_primes(text: Optional[str], default_limit: int = 50):
     if text is None:
         return tuple(int(p) for p in build_sieve(default_limit).primes)
-    return tuple(_parse_ints(text, "--primes"))
+    primes = tuple(_parse_ints(text, "--primes"))
+    for p in primes:
+        if not is_prime(p):
+            raise InvalidArgumentError(f"{p} is not prime")
+    return primes
 
 
 def _cmd_quotient(a) -> int:
@@ -354,8 +365,9 @@ def _cmd_quotient(a) -> int:
 
 
 def _cmd_inverse(a) -> int:
-    h = parse_spec_arg(a.spec)
-    inv = dirichlet_inverse(h)
+    if a.k < 0:
+        raise InvalidArgumentError(f"--k must be >= 0, got {a.k}")
+    inv = dirichlet_inverse(parse_spec_arg(a.spec))
     _dump_json([_local_json(p, [inv.value(p, j) for j in range(a.k + 1)])
                 for p in _parse_primes(a.primes)], a.out)
     return 0
@@ -397,58 +409,42 @@ def _cmd_hseries(a) -> int:
     return 0
 
 
+# construct flag -> (descriptor field, parser of the flag's text or None)
+_CONSTRUCT_FIELDS = {
+    "spec": ("base", _spec_arg_descriptor),
+    "intervals": ("exponents", lambda v: _parse_ints(v, "--intervals")),
+    "N": ("limit", None),
+    "cutoff": ("diagnostics_cutoff", None),
+    "constituents": ("constituents", _constituent_descriptors),
+    **{flag: (flag, None) for flag in ("q", "index", "D", "t", "beta", "seed")},
+}
+
+
+def _constructed(name: str, a):
+    """The spec of {"construction": name, ...} with a field per flag in `a`,
+    and kind completely-multiplicative, which only random reads."""
+    desc = {"construction": name, "kind": COMPLETELY_MULTIPLICATIVE}
+    with _nesting_guard():
+        for flag, (key, parse) in _CONSTRUCT_FIELDS.items():
+            v = getattr(a, flag, None)
+            if v is not None:
+                desc[key] = parse(v) if parse else v
+        return spec_from_descriptor(desc)
+
+
+def _cmd_construct(a) -> int:
+    _dump_json(spec_descriptor(_constructed(a.name, a)), a.out)
+    return 0
+
+
 def _cmd_degree(a) -> int:
     if a.k < 0:
         raise InvalidArgumentError(f"--k must be >= 0, got {a.k}")
-    names = [s for s in a.constituents.split(",") if s]
-    spec = degree_d_spec([parse_spec_arg(s) for s in names])
+    spec = _constructed("degree-d", a)
     coeffs = alpha_coeffs(spec, a.p)
     residuals = [recursion_residual(spec, a.p, n) for n in range(0, a.k + 1)]
     _dump_json({"degree": spec.degree, "coeffs": coeffs, "residuals": residuals},
                a.out)
-    return 0
-
-
-def _cmd_construct(a) -> int:
-    name = a.name
-    if name in _STANDARD_NAMES:
-        spec = standard_spec(name)
-    elif name == "character":
-        if a.q is None:
-            raise InvalidArgumentError("character needs --q")
-        spec = dirichlet_character(a.q, a.index)
-    elif name == "kronecker":
-        if a.D is None:
-            raise InvalidArgumentError("kronecker needs --D")
-        spec = kronecker_character(a.D)
-    elif name == "archimedean-twist":
-        spec = archimedean_twist(a.t)
-    elif name == "sparse-dyadic":
-        if a.spec is None or a.intervals is None:
-            raise InvalidArgumentError("sparse-dyadic needs --spec and --intervals")
-        spec = sparse_dyadic(parse_spec_arg(a.spec),
-                             _parse_ints(a.intervals, "--intervals"))
-    elif name == "optimality-twist":
-        if a.spec is None:
-            raise InvalidArgumentError("optimality-twist needs --spec and --beta")
-        cutoff = int(a.cutoff) if a.cutoff else 10**7
-        spec = optimality_twist(parse_spec_arg(a.spec), a.beta,
-                                diagnostics_cutoff=cutoff)
-    elif name == "squarefree-restrict":
-        if a.spec is None:
-            raise InvalidArgumentError("squarefree-restrict needs --spec")
-        spec = squarefree_restrict(parse_spec_arg(a.spec))
-    elif name == "random":
-        spec = random_spec(a.seed, limit=a.N or 10**4)
-    elif name == "degree-d":
-        if not a.constituents:
-            raise InvalidArgumentError("degree-d needs --constituents")
-        spec = degree_d_spec(
-            [parse_spec_arg(s) for s in a.constituents.split(",") if s]
-        )
-    else:
-        raise InvalidArgumentError(f"unknown construction {name!r}")
-    _dump_json(spec_descriptor(spec), a.out)
     return 0
 
 
@@ -606,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_degree)
 
     p = sub.add_parser("construct", help="emit a reusable spec descriptor")
-    p.add_argument("name", choices=list(_STANDARD_NAMES) + [
+    p.add_argument("name", choices=list(STANDARD_NAMES) + [
         "character", "kronecker", "archimedean-twist", "sparse-dyadic",
         "optimality-twist", "squarefree-restrict", "random", "degree-d",
     ])
@@ -618,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, help="diagnostic prime cutoff")
     p.add_argument("--constituents", type=str, help="comma list of specs")
     _add_common(p, "--spec", "--beta", "--seed", "--N", "--out",
-                beta={"default": 0.5})
+                beta={"default": 0.5}, N={"default": 10**4})
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("growth-fit", help="fit |S(x)| ~ C x^alpha from a sums CSV")

@@ -39,6 +39,9 @@ MAX_DYADIC_EXPONENT = 5
 
 SIGN_RULE_THRESHOLD = 10.0
 
+# the builtin names standard_spec builds, each its own descriptor
+STANDARD_NAMES = ("one", "delta", "moebius", "liouville")
+
 
 def _loglog(ps: np.ndarray) -> np.ndarray:
     return np.log(np.log(ps.astype(np.float64)))
@@ -580,7 +583,7 @@ def spec_from_descriptor(desc: dict) -> FunctionSpec:
         raise InvalidArgumentError("descriptor must be a dict with a construction key")
     kind = desc["construction"]
     get = partial(_descriptor_field, desc)
-    if kind in ("one", "delta", "moebius", "liouville"):
+    if kind in STANDARD_NAMES:
         return standard_spec(kind)
     if kind == "character":
         return dirichlet_character(get("q", int), get("index", int))

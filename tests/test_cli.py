@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from pretense import cli, core
 from pretense.asymptotics import xi_from_sums
 from pretense.cli import ExperimentConfig, main, parse_checkpoints, parse_spec_arg
+from pretense.constructions import spec_from_descriptor
 from pretense.dirichlet import convolve_table
 
 from conftest import cli_env
@@ -213,6 +214,69 @@ def test_parse_spec_arg_rejects_garbage():
         parse_spec_arg("zeta-of-everything")
 
 
+_CM = core.COMPLETELY_MULTIPLICATIVE
+
+
+@pytest.mark.parametrize("text, desc", [
+    ("one", {"construction": "one"}),
+    ("delta", {"construction": "delta"}),
+    ("moebius", {"construction": "moebius"}),
+    ("liouville", {"construction": "liouville"}),
+    ("char:7:3", {"construction": "character", "q": 7, "index": 3}),
+    ("kron:-4", {"construction": "kronecker", "D": -4}),
+    ("twist:1.5", {"construction": "archimedean-twist", "t": 1.5}),
+    ("random:42", {"construction": "random", "seed": 42, "limit": 10**4, "kind": _CM}),
+    ("random:5:1e3", {"construction": "random", "seed": 5, "limit": 1000, "kind": _CM}),
+    ("random:5:300:gm", {"construction": "random", "seed": 5, "limit": 300,
+                         "kind": core.GENERAL_MULTIPLICATIVE}),
+])
+def test_parse_spec_arg_shorthand_is_its_descriptor(text, desc):
+    assert parse_spec_arg(text).params == parse_spec_arg(json.dumps(desc)).params
+
+
+_CHI4 = {"construction": "character", "q": 4, "index": 1}
+
+
+# one case or more for each construct choice
+@pytest.mark.parametrize("argv, desc", [
+    ("one", {"construction": "one"}),
+    ("delta", {"construction": "delta"}),
+    ("moebius", {"construction": "moebius"}),
+    ("liouville", {"construction": "liouville"}),
+    ("character --q 7 --index 1", {"construction": "character", "q": 7, "index": 1}),
+    ("character --q 5", {"construction": "character", "q": 5, "index": 0}),
+    ("kronecker --D 5", {"construction": "kronecker", "D": 5}),
+    ("archimedean-twist --t 1.5", {"construction": "archimedean-twist", "t": 1.5}),
+    ("archimedean-twist", {"construction": "archimedean-twist", "t": 0.0}),
+    ("sparse-dyadic --spec char:4:1 --intervals 3,4",
+     {"construction": "sparse-dyadic", "base": _CHI4, "exponents": [3, 4]}),
+    ("optimality-twist --spec char:4:1 --beta 0.7 --cutoff 1e3",
+     {"construction": "optimality-twist", "base": _CHI4, "beta": 0.7,
+      "diagnostics_cutoff": 1000}),
+    ("squarefree-restrict --spec twist:0.5",
+     {"construction": "squarefree-restrict",
+      "base": {"construction": "archimedean-twist", "t": 0.5}}),
+    ("random --seed 3 --N 200",
+     {"construction": "random", "seed": 3, "limit": 200, "kind": _CM}),
+    ("random --seed 3", {"construction": "random", "seed": 3, "limit": 10**4, "kind": _CM}),
+    ("degree-d --constituents char:4:1,one",
+     {"construction": "degree-d", "constituents": [_CHI4, {"construction": "one"}]}),
+])
+def test_construct_is_its_descriptor(capsys, argv, desc):
+    assert main(["construct", *argv.split()]) == 0
+    want = core.json_text(spec_from_descriptor(desc).params) + "\n"
+    assert capsys.readouterr().out == want
+
+
+def test_constituents_take_inline_json(capsys):
+    inline = json.dumps(_CHI4) + ",one"
+    for argv in (["degree", "--p", "3", "--k", "2"], ["construct", "degree-d"]):
+        assert main(argv + ["--constituents", "char:4:1,one"]) == 0
+        want = capsys.readouterr().out
+        assert main(argv + ["--constituents", inline]) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_parse_checkpoints_forms():
     import numpy as np
 
@@ -369,6 +433,12 @@ def test_thread_count_errors_give_one_error_line(capsys, monkeypatch):
       '"ndiff":2}', "--N", "100"], "seed must be >= 0"),
     (["quotient", "--spec", "one", "--spec2", "delta", "--primes", "2,3215031751"],
      "3215031751 is not prime"),
+    (["construct", "random", "--N", "0"], "limit must be >= 2"),
+    (["construct", "optimality-twist", "--spec", "char:4:1", "--cutoff", "0"],
+     "sieve limit must be >= 2"),
+    (["inverse", "--spec", "one", "--primes", "4", "--k", "2"], "4 is not prime"),
+    (["inverse", "--spec", "one", "--primes", "2", "--k", "-3"],
+     "--k must be >= 0, got -3"),
 ])
 def test_bad_construction_inputs_give_one_error_line(capsys, argv, err):
     t0 = time.monotonic()
