@@ -20,9 +20,9 @@ from .core import (
     GRID_RATIO,
     PartialSumSeries,
     ValueTable,
-    _value_chunks,
     checkpointed_sums,
     running_max,
+    value_chunks,
 )
 from .errors import (
     DegenerateFitError,
@@ -147,7 +147,7 @@ def _xi_exact(xi: XiSeries, y: np.ndarray) -> np.ndarray:
     if np.any(idx < 1) or np.any(idx > table.limit):
         raise OutOfRangeError("argument outside the dense table range")
     at, back = np.unique(idx, return_inverse=True)
-    S = checkpointed_sums(table.values[1 : idx.max(initial=0) + 1], at)
+    S = checkpointed_sums([v for _, v in value_chunks(table, idx.max(initial=0))], at)
     return S[back.reshape(y.shape)] / y**xi.alpha
 
 
@@ -292,7 +292,8 @@ def l_truncation(table: ValueTable, s: complex, N: Optional[int] = None) -> LTru
     if not 1 <= N <= table.limit:
         raise OutOfRangeError(f"N must be in [1, {table.limit}], got {N}")
     with np.errstate(all="ignore"):
-        terms = (v * np.exp(-s * np.log(n)) for n, v in _value_chunks(table, N))
+        terms = (v * np.exp(-s * np.log(np.arange(a, a + v.size, dtype=np.float64)))
+                 for a, v in value_chunks(table, N))
         value = complex(checkpointed_sums(terms, [N])[0])
     if not np.isfinite(value):
         raise OutOfRangeError(f"truncated Dirichlet series at s={s} is not finite")
@@ -305,7 +306,8 @@ def l_truncation(table: ValueTable, s: complex, N: Optional[int] = None) -> LTru
 def _growth_class(table: ValueTable, N: int) -> Optional[int]:
     """Smallest c in {0, 1, 2} with |values(n)| <= n^c on [1, N], if any."""
     c = 0  # |f(n)| <= n^c on one chunk implies it for every larger c
-    for n, v in _value_chunks(table, N):
+    for a, v in value_chunks(table, N):
+        n = np.arange(a, a + v.size, dtype=np.float64)
         while c < 3 and not np.all(np.abs(v) <= n**c * (1.0 + 1e-9)):
             c += 1
     return c if c < 3 else None

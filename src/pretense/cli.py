@@ -66,7 +66,7 @@ from .core import (
     resolve_threads,
 )
 from .degree import alpha_coeffs, recursion_residual
-from .dirichlet import dirichlet_inverse, is_prime, solve_quotient
+from .dirichlet import capped_exponent, dirichlet_inverse, is_prime, solve_quotient
 from .errors import InvalidArgumentError, PretenseError
 from .metrics import (
     distance_beta,
@@ -167,6 +167,18 @@ def _parse_ints(text: str, flag: str) -> list:
         ) from None
 
 
+def _whole_number(text: str) -> int:
+    """A whole-number flag value, written like 100 or 1e6.  For inf, int
+    raises OverflowError, which main reports on one error line."""
+    try:
+        v = float(text)
+        if v == int(v):
+            return int(v)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
+
+
 def _parse_complex(text: str) -> complex:
     try:
         v = complex(text.replace(" ", ""))
@@ -200,7 +212,7 @@ def _emit(chunks, out: Optional[str]) -> None:
 
 
 def _table_chunks(table):
-    return csv_chunks(range(1, table.limit + 1), table.values[1:])
+    return csv_chunks(None, core.value_chunks(table, table.limit))
 
 
 def _dump_json(obj, out: Optional[str]) -> None:
@@ -365,7 +377,7 @@ def _cmd_quotient(a) -> int:
 
 
 def _cmd_inverse(a) -> int:
-    if a.k < 0:
+    if capped_exponent(a.k) < 0:
         raise InvalidArgumentError(f"--k must be >= 0, got {a.k}")
     inv = dirichlet_inverse(parse_spec_arg(a.spec))
     _dump_json([_local_json(p, [inv.value(p, j) for j in range(a.k + 1)])
@@ -438,7 +450,7 @@ def _cmd_construct(a) -> int:
 
 
 def _cmd_degree(a) -> int:
-    if a.k < 0:
+    if capped_exponent(a.k) < 0:
         raise InvalidArgumentError(f"--k must be >= 0, got {a.k}")
     spec = _constructed("degree-d", a)
     coeffs = alpha_coeffs(spec, a.p)
@@ -512,7 +524,7 @@ def _cmd_verify(a) -> int:
 
 def _add_common(p, *names, **overrides):
     defs = {
-        "--N": dict(type=lambda v: int(float(v)), help="dense table limit"),
+        "--N": dict(type=_whole_number, help="dense table limit"),
         "--spec": dict(type=str, help="function spec (see module docstring)"),
         "--spec2": dict(type=str, help="second function spec"),
         "--beta": dict(type=float, help="distance weight exponent in (0,1]"),

@@ -6,6 +6,9 @@ FunctionSpec.  Everything downstream works from its prime map and powers:
     build_sieve(N)          smallest-prime-factor table and prime list up to N,
                             in L2-sized segments
     evaluate(spec, sieve)   dense table of f(n) for 1 ≤ n ≤ N
+    value_chunks(table, N)  views of f(1), ..., f(N), BLOCK values at a time:
+                            the one reader of a table in order of n, the source
+                            that an evaluation by blocks would replace
     partial_sums(table, x)  S_f(x) = Σ_{n ≤ x} f(n) at checkpoints
     mean_square_sum         Σ_{n ≤ x} |f(n)|²
     csv_chunks              CSV text of (x, f) rows, one chunk per BLOCK rows
@@ -78,9 +81,9 @@ KINDS = frozenset(
 # Dense work beyond this is out of scope for a desk-scale toolkit.
 MAX_SIEVE_LIMIT = 10**8
 
-# Chunk length of the prefix summation, the cofactor recurrence, the prime
-# prefill and composite fill of evaluate, mean_square_sum and the CSV writer.
-# Only the last bits of a non-integer mean square depend on it.  The
+# Chunk length of value_chunks, the prefix summation, the cofactor
+# recurrence, the prime prefill and composite fill of evaluate and the CSV
+# writer.  Only the last bits of a non-integer mean square depend on it.  The
 # summation's three float64 scratch buffers (3 x 128 KiB) stay in L2.  At
 # 2^16 that kernel was ~15% slower and its freed buffers stayed resident on
 # the heap, raising peak RSS by ~1 MB in a 1e7 table workload.
@@ -505,11 +508,10 @@ def _sum2_chunks(terms):
         a += m
 
 
-def _value_chunks(table: ValueTable, N: int):
-    """Yield (n, f(n)) for 1 ≤ n ≤ N, BLOCK at a time, n as float64."""
+def value_chunks(table: ValueTable, N: int):
+    """Yield (a, v) from a = 1: v views f(a), ..., f(min(a + BLOCK, N + 1) - 1)."""
     for a in range(1, N + 1, BLOCK):
-        n = np.arange(a, min(a + BLOCK, N + 1), dtype=np.float64)
-        yield n, table.values[a : a + n.size]
+        yield a, table.values[a : min(a + BLOCK, N + 1)]
 
 
 def checkpoint_positions(checkpoints, limit, what: str = "table limit"):
@@ -567,7 +569,8 @@ def partial_sums(
 ) -> PartialSumSeries:
     """S_f(x_i) = Σ_{n ≤ x_i} f(n) at strictly increasing real checkpoints."""
     x, positions = checkpoint_positions(checkpoints, table.limit)
-    sums = checkpointed_sums(table.values[1:], positions, mode=mode, threads=threads)
+    terms = (v for _, v in value_chunks(table, positions[-1]))
+    sums = checkpointed_sums(terms, positions, mode=mode, threads=threads)
     return PartialSumSeries(checkpoints=x, sums=sums, summation_mode=mode, source=table)
 
 
@@ -579,7 +582,7 @@ def running_max(table: ValueTable, checkpoints: Sequence[float]) -> tuple:
     sums = np.empty(x.size, dtype=np.complex128)
     peaks = np.empty(x.size)
     lo, best = 0, 0.0
-    for a, S in _sum2_chunks(table.values[1 : positions[-1] + 1]):
+    for a, S in _sum2_chunks(v for _, v in value_chunks(table, positions[-1])):
         hi = int(np.searchsorted(positions, a + S.size, side="right"))
         idx = positions[lo:hi] - (a + 1)
         run = np.maximum(np.maximum.accumulate(np.abs(S)), best)
@@ -591,22 +594,16 @@ def running_max(table: ValueTable, checkpoints: Sequence[float]) -> tuple:
 def mean_square_sum(table: ValueTable, x: float) -> float:
     """Σ_{n ≤ x} |f(n)|² (nonnegative, nondecreasing in x).
 
-    Squares the float64 parts of BLOCK values at a time (the values of a
-    float64 table, the real and imaginary parts of a complex one) into one
-    scratch buffer and adds the chunk sums with math.fsum, so no temporary
-    outgrows a chunk; exact whenever the squares and their partial sums are
-    integers below 2^53.
+    Squares the float64 parts of each chunk of value_chunks (the values of
+    a float64 table, the real and imaginary parts of a complex one) and adds
+    the chunk sums with math.fsum, so no temporary outgrows a chunk; exact
+    whenever the squares and their partial sums are integers below 2^53.
     """
     m = int(math.floor(x))
     if m < 1 or m > table.limit:
         raise OutOfRangeError(f"x={x} outside [1, {table.limit}]")
-    buf = np.empty(2 * BLOCK)
-    chunks = []
-    for a in range(1, m + 1, BLOCK):
-        parts = table.values[a : min(a + BLOCK, m + 1)].view(np.float64)
-        sq = np.square(parts, out=buf[: parts.size])
-        chunks.append(float(np.add.reduce(sq)))
-    return math.fsum(chunks)
+    return math.fsum(float(np.add.reduce(np.square(v.view(np.float64))))
+                     for _, v in value_chunks(table, m))
 
 
 def geometric_checkpoints(lo: float, hi: float, ratio: float = GRID_RATIO) -> np.ndarray:
@@ -692,8 +689,8 @@ def _csv_cells(col: np.ndarray, whole: np.ndarray) -> list:
 
 def csv_chunks(xs, values):
     """Yield the CSV of rows (x_i, Re v_i, Im v_i, |v_i|): the header line, then
-    the text of each BLOCK rows, so no column outgrows BLOCK.  xs and values
-    have one entry per row; xs may be a range.
+    the text of each chunk of at most BLOCK rows.  xs and values have one entry
+    per row, or xs is None and values are the chunks (a, v) of value_chunks.
 
     |v| is np.hypot(Re v, Im v), which gives the bits of Python's
     abs(complex), set to inf where a part is infinite, as abs does even
@@ -701,11 +698,11 @@ def csv_chunks(xs, values):
     modulus that overflows from finite parts raises OverflowError.
     """
     yield "n_or_x,re,im,abs\n"
-    for a in range(0, len(xs), BLOCK):
-        x = xs[a : a + BLOCK]
-        if isinstance(x, range):
-            x = np.arange(x.start, x.stop)
-        v = np.asarray(values[a : a + BLOCK], dtype=np.complex128)
+    chunks = values if xs is None else (
+        (xs[a : a + BLOCK], values[a : a + BLOCK]) for a in range(0, len(xs), BLOCK))
+    for x, v in chunks:
+        x = np.arange(x, x + len(v)) if xs is None else x
+        v = np.asarray(v, dtype=np.complex128)
         re, im = v.real, v.imag
         with np.errstate(over="ignore", invalid="ignore"):
             mag = np.hypot(re, im)

@@ -23,8 +23,6 @@ from .core import (
     FunctionSpec,
     SieveIndex,
     build_sieve,
-    evaluate,
-    geometric_checkpoints,
 )
 from .dirichlet import is_prime
 from .errors import InvalidArgumentError
@@ -295,59 +293,3 @@ def degreedist_extension_check(
         sup_ratio=sup,
         violations=tuple(violations),
     )
-
-
-@dataclass(frozen=True)
-class GrowthDeltaRow:
-    x: float
-    running_max: float
-    argmax: int
-
-
-@dataclass(frozen=True)
-class GrowthDeltaReport:
-    delta: float
-    rows: tuple
-    last_increase_n: int
-
-
-def growth_delta_check(
-    f: FunctionSpec,
-    N: int,
-    deltas: Sequence[float] = (0.1, 0.2),
-    sieve: Optional[SieveIndex] = None,
-) -> tuple:
-    """Running max of |f(n)|/n^δ at geometric checkpoints, one report per δ.
-
-    For a genuinely subpolynomial f the maximum is attained early: the
-    report's last_increase_n is the largest n that ever raised the max.
-    """
-    N = int(N)
-    if sieve is None:
-        sieve = build_sieve(N)
-    table = evaluate(f, sieve, N)
-    mag = np.abs(table.values[1:])
-    n = np.arange(1, N + 1, dtype=np.float64)
-    checkpoints = geometric_checkpoints(min(10, N), N)
-    out = []
-    for delta in deltas:
-        ratio = mag / n ** float(delta)
-        cm = np.maximum.accumulate(ratio)
-        increases = np.nonzero(np.diff(cm) > 0)[0]
-        last_inc = int(increases[-1] + 2) if increases.size else 1
-        rows = []
-        for x in checkpoints:
-            pos = int(x) - 1
-            rows.append(
-                GrowthDeltaRow(
-                    x=float(x),
-                    running_max=float(cm[pos]),
-                    argmax=int(np.argmax(ratio[: pos + 1]) + 1),
-                )
-            )
-        out.append(
-            GrowthDeltaReport(
-                delta=float(delta), rows=tuple(rows), last_increase_n=last_inc
-            )
-        )
-    return tuple(out)

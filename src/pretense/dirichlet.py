@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .errors import (
     PretenseError,
 )
 
+# The largest exponent of a local computation: the determinant order and
+# every exponent k a user gives (the CLI's --k), whose cost grows like k².
 DETERMINANT_ORDER_CAP = 64
 
 RECONVOLUTION_TOL = 1e-10
@@ -74,6 +76,14 @@ class LocalSeries:
 
     p: int
     coeffs: np.ndarray
+
+
+def capped_exponent(k: int) -> int:
+    """k, or LimitError when it exceeds DETERMINANT_ORDER_CAP."""
+    if k > DETERMINANT_ORDER_CAP:
+        raise LimitError(
+            f"exponent --k {k} exceeds the documented cap {DETERMINANT_ORDER_CAP}")
+    return k
 
 
 def _lazy_local_solver(update):
@@ -140,7 +150,7 @@ def solve_quotient(
     for p in plist:
         if not is_prime(p):
             raise InvalidArgumentError(f"{p} is not prime")
-    K = int(max_exponent)
+    K = capped_exponent(int(max_exponent))
     if K < 1:
         raise InvalidArgumentError(f"max exponent must be >= 1, got {K}")
 
@@ -293,43 +303,3 @@ def h_via_determinant(f: FunctionSpec, g: FunctionSpec, p: int, n: int) -> compl
         acc += sign * (g.value(p, n - k) - f.value(p, n - k)) * dets[k]
         sign = -sign
     return acc
-
-
-@dataclass(frozen=True)
-class DetBoundReport:
-    """Per-order comparison of |D_f(n, p)| against 2^{n−1} p^{nδ}."""
-
-    p: int
-    delta: float
-    rows: tuple  # (n, |D|, bound, ok)
-    hypothesis_violations: tuple  # exponents k with |f(p^k)| > p^{kδ}
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.hypothesis_violations and all(ok for *_, ok in self.rows)
-
-
-def determinant_bound_check(
-    f: FunctionSpec, p: int, k_max: int, delta: float = 0.0
-) -> DetBoundReport:
-    """Check |D_f(n, p)| ≤ 2^{n−1} p^{nδ} for 1 ≤ n ≤ k_max.
-
-    The bound presumes |f(p^k)| ≤ p^{kδ}; exponents where the input itself
-    breaks that hypothesis are flagged in the report rather than raised.
-    """
-    k_max = int(k_max)
-    if k_max < 1:
-        raise InvalidArgumentError(f"k_max must be >= 1, got {k_max}")
-    violations = []
-    for k in range(1, k_max + 1):
-        if abs(f.value(p, k)) > p ** (k * delta) * (1.0 + 1e-9):
-            violations.append(k)
-    rows = []
-    for n in range(1, k_max + 1):
-        absd = abs(determinant(f, p, n))
-        bound = 2.0 ** (n - 1) * p ** (n * delta)
-        rows.append((n, absd, bound, absd <= bound * (1.0 + 1e-9) + 1e-12))
-    return DetBoundReport(
-        p=int(p), delta=float(delta), rows=tuple(rows),
-        hypothesis_violations=tuple(violations),
-    )

@@ -24,13 +24,14 @@ from .core import (
     SEQUENTIAL,
     SieveIndex,
     ValueTable,
-    _value_chunks,
     build_sieve,
     checkpoint_positions,
     checkpointed_sums,
     evaluate,
     prime_values_of,
+    value_chunks,
 )
+from .dirichlet import capped_exponent
 from .errors import InvalidArgumentError, OutOfRangeError
 
 PLATEAU_SLOPE = 0.01
@@ -210,7 +211,7 @@ def distance_strong(
     beta = float(beta)
     if beta <= 0:
         raise InvalidArgumentError(f"beta must be > 0, got {beta}")
-    k = int(k)
+    k = capped_exponent(int(k))
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
     cutoff = float(cutoff)
@@ -269,7 +270,7 @@ def _truncated_local_report(
     divergent.  A divergent flag is conservative: it means the ratio test
     failed at depth K, not a proof of divergence.
     """
-    if K < 2:
+    if capped_exponent(K) < 2:
         raise InvalidArgumentError("truncation depth must be >= 2")
     rows = []
     partial_list = []
@@ -397,8 +398,9 @@ def h_majorant_series(
         table = evaluate(spec, sieve, N)
     params = {"h": spec.name, "sigma": sigma, "N": N, "power": power}
     with np.errstate(all="ignore"):
-        mags = ((n, np.abs(v)) for n, v in _value_chunks(table, N))
-        w = ((mag if power == "L1" else mag * mag) / n**sigma for n, mag in mags)
+        mags = ((a, np.abs(v)) for a, v in value_chunks(table, N))
+        w = ((mag if power == "L1" else mag * mag)
+             / np.arange(a, a + mag.size, dtype=np.float64)**sigma for a, mag in mags)
         return _series_report("h-L2" if power == "L2" else "h-L1", params, None, w,
                               float(N), checkpoints, mode, threads)
 

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pretense.core import build_sieve, csv_chunks
+from pretense.cli import _table_chunks
+from pretense.core import build_sieve
 
 # one pass/fail line per acceptance criterion, printed at session end
 ACCEPTANCE_LINES = []
@@ -25,7 +26,7 @@ def cli_env() -> dict:
 
 def table_csv(table) -> str:
     """The CSV of a value table, rows n = 1..limit, as `pretense eval` writes it."""
-    return "".join(csv_chunks(range(1, table.limit + 1), table.values[1:]))
+    return "".join(_table_chunks(table))
 
 
 def record_acceptance(number: int, name: str, passed: bool, detail: str) -> None:

@@ -9,6 +9,7 @@ evidence, not tautology.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -348,3 +349,99 @@ def per_m_roundtrip_residual(h_table, h_inverse_table, xi, x: float, mode) -> fl
     want = complex(xi_lookup(xi, np.asarray([x]), mode=mode)[0])
     scale = max(abs(want), 1e-30)
     return abs(acc - want) / scale
+
+
+# ---------------------------------------------------------------------------
+# checks that no library report runs, kept with the tests that use them
+
+@dataclass(frozen=True)
+class GrowthDeltaRow:
+    x: float
+    running_max: float
+    argmax: int
+
+
+@dataclass(frozen=True)
+class GrowthDeltaReport:
+    delta: float
+    rows: tuple
+    last_increase_n: int
+
+
+def growth_delta_check(f, N: int, deltas=(0.1, 0.2), sieve=None) -> tuple:
+    """Running max of |f(n)|/n^δ at geometric checkpoints, one report per δ.
+
+    For a genuinely subpolynomial f the maximum is attained early: the
+    report's last_increase_n is the largest n that ever raised the max.
+    """
+    from pretense.core import build_sieve, evaluate, geometric_checkpoints
+
+    N = int(N)
+    if sieve is None:
+        sieve = build_sieve(N)
+    table = evaluate(f, sieve, N)
+    mag = np.abs(table.values[1:])
+    n = np.arange(1, N + 1, dtype=np.float64)
+    checkpoints = geometric_checkpoints(min(10, N), N)
+    out = []
+    for delta in deltas:
+        ratio = mag / n ** float(delta)
+        cm = np.maximum.accumulate(ratio)
+        increases = np.nonzero(np.diff(cm) > 0)[0]
+        last_inc = int(increases[-1] + 2) if increases.size else 1
+        rows = []
+        for x in checkpoints:
+            pos = int(x) - 1
+            rows.append(
+                GrowthDeltaRow(
+                    x=float(x),
+                    running_max=float(cm[pos]),
+                    argmax=int(np.argmax(ratio[: pos + 1]) + 1),
+                )
+            )
+        out.append(
+            GrowthDeltaReport(
+                delta=float(delta), rows=tuple(rows), last_increase_n=last_inc
+            )
+        )
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class DetBoundReport:
+    """Per-order comparison of |D_f(n, p)| against 2^{n−1} p^{nδ}."""
+
+    p: int
+    delta: float
+    rows: tuple  # (n, |D|, bound, ok)
+    hypothesis_violations: tuple  # exponents k with |f(p^k)| > p^{kδ}
+
+    @property
+    def all_pass(self) -> bool:
+        return not self.hypothesis_violations and all(ok for *_, ok in self.rows)
+
+
+def determinant_bound_check(f, p: int, k_max: int, delta: float = 0.0) -> DetBoundReport:
+    """Check |D_f(n, p)| ≤ 2^{n−1} p^{nδ} for 1 ≤ n ≤ k_max.
+
+    The bound presumes |f(p^k)| ≤ p^{kδ}; exponents where the input itself
+    breaks that hypothesis are flagged in the report rather than raised.
+    """
+    from pretense.dirichlet import determinant
+
+    k_max = int(k_max)
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    violations = []
+    for k in range(1, k_max + 1):
+        if abs(f.value(p, k)) > p ** (k * delta) * (1.0 + 1e-9):
+            violations.append(k)
+    rows = []
+    for n in range(1, k_max + 1):
+        absd = abs(determinant(f, p, n))
+        bound = 2.0 ** (n - 1) * p ** (n * delta)
+        rows.append((n, absd, bound, absd <= bound * (1.0 + 1e-9) + 1e-12))
+    return DetBoundReport(
+        p=int(p), delta=float(delta), rows=tuple(rows),
+        hypothesis_violations=tuple(violations),
+    )

@@ -16,7 +16,7 @@ from pretense import cli, core
 from pretense.asymptotics import xi_from_sums
 from pretense.cli import ExperimentConfig, main, parse_checkpoints, parse_spec_arg
 from pretense.constructions import spec_from_descriptor
-from pretense.dirichlet import convolve_table
+from pretense.dirichlet import DETERMINANT_ORDER_CAP, convolve_table
 
 from conftest import cli_env
 from oracles import reference_csv
@@ -446,6 +446,40 @@ def test_bad_construction_inputs_give_one_error_line(capsys, argv, err):
     assert time.monotonic() - t0 < 5.0  # rejected up front, not after the work
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {err}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--spec", "moebius", "--spec2", "one"],
+    ["inverse", "--spec", "moebius", "--primes", "2"],
+    ["distance", "--kind", "strong", "--beta", "1", "--spec", "moebius",
+     "--spec2", "one", "--N", "100"],
+    ["hseries", "--spec", "moebius", "--spec2", "one", "--sigma", "2"],
+    ["hseries", "--spec", "moebius", "--sigma", "2"],
+    ["degree", "--constituents", "one,one"],
+], ids=["quotient", "inverse", "distance-strong", "hseries-quotient",
+        "hseries-squares", "degree"])
+def test_every_exponent_stops_at_the_cap(capsys, argv):
+    cap = DETERMINANT_ORDER_CAP
+    assert cap == 64
+    t0 = time.monotonic()
+    assert main(argv + ["--k", str(cap + 1)]) == 1
+    assert time.monotonic() - t0 < 1.0  # rejected up front, not after the work
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: exponent --k {cap + 1} exceeds the documented cap {cap}"]
+    assert main(argv + ["--k", str(cap)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", ["2.5", "100.7", "1e2.5", "nan", "x"])
+def test_non_whole_limit_is_a_usage_error(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["sums", "--spec", "moebius", "--N", n])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(f"argument --N: not a whole number: {n!r}")
+    assert sum("error:" in line for line in err) == 1
+    assert main(["sieve", "--N", "1e3"]) == 0
+    assert json.loads(capsys.readouterr().out)["limit"] == 1000
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -895,6 +895,53 @@ def test_zero_imaginary_parts_take_the_real_pass_alone(sieve_1e6):
         assert got.tobytes() == (want / x**0.5).tobytes()
 
 
+def _in_order_folds(table, x, y) -> list:
+    """The bytes of every fold that reads table through core.value_chunks:
+    partial_sums, both arrays of running_max, exact xi at y, the `pretense
+    eval` CSV and, last, the mean square up to x[-1]."""
+    series, peaks = core.running_max(table, x)
+    xi = asymptotics.xi_from_sums(partial_sums(table, x), 0.5)
+    return [
+        partial_sums(table, x).sums.tobytes(),
+        series.sums.tobytes(),
+        peaks.tobytes(),
+        asymptotics.xi_lookup(xi, y, mode=asymptotics.EXACT).tobytes(),
+        table_csv(table),
+        mean_square_sum(table, x[-1]).hex(),
+    ]
+
+
+def test_in_order_folds_do_not_depend_on_chunk_length(sieve_1e4):
+    n = 3000
+    chi7 = evaluate(dirichlet_character(7, 1), sieve_1e4, n)
+    mu = evaluate(standard_spec("moebius"), sieve_1e4, n)
+    assert chi7.values.dtype == np.complex128 and mu.values.dtype == np.float64
+    x = np.arange(1.0, n + 1)
+    y = np.random.default_rng(7).uniform(1.0, n + 1.0, 500)
+    blocks = (1, 3, 64, core.BLOCK)
+    got = {}
+    for b in blocks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "BLOCK", b)
+            got[b] = (_in_order_folds(chi7, x, y), _in_order_folds(mu, x, y))
+    want_chi7, want_mu = got[core.BLOCK]
+    for b in blocks:
+        assert got[b][1] == want_mu  # whole values: the mean square too
+        assert got[b][0][:-1] == want_chi7[:-1]
+    # as documented, the last bits of a non-integer mean square depend on
+    # BLOCK, and the byte comparison sees them
+    assert len({got[b][0][-1] for b in blocks}) > 1
+    # negative control: a source that reverses each chunk is right at chunk
+    # length 1 only, and the comparison sees it at any other
+    chunks = core.value_chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "value_chunks",
+                   lambda t, N: ((a, v[::-1]) for a, v in chunks(t, N)))
+        for b in blocks:
+            mp.setattr(core, "BLOCK", b)
+            assert (_in_order_folds(mu, x, y)[0] == want_mu[0]) == (b == 1)
+
+
 def test_cumsum_lives_only_in_the_sum2_kernel():
     """Nothing in src/pretense sums a prefix outside core._sum2_chunks."""
     found = []

@@ -9,7 +9,6 @@ from pretense.degree import (
     alpha_coeffs,
     degree_d_spec,
     degreedist_extension_check,
-    growth_delta_check,
     perturbed_member,
     q_all,
     q_poly,
@@ -22,7 +21,11 @@ from pretense.dirichlet import determinant
 from pretense.errors import InvalidArgumentError
 from pretense.randspecs import random_spec
 
-from oracles import brute_complete_homogeneous, brute_elementary_symmetric
+from oracles import (
+    brute_complete_homogeneous,
+    brute_elementary_symmetric,
+    growth_delta_check,
+)
 
 complex_unit = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
                                   allow_infinity=False)

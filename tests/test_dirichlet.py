@@ -14,7 +14,6 @@ from pretense.dirichlet import (
     convolve_spec,
     convolve_table,
     determinant,
-    determinant_bound_check,
     dirichlet_inverse,
     h_via_determinant,
     is_prime,
@@ -27,6 +26,7 @@ from oracles import (
     brute_convolve,
     brute_primes,
     brute_quotient_local,
+    determinant_bound_check,
     determinant_dense,
     divisor_fold,
 )
