@@ -168,11 +168,11 @@ def _parse_ints(text: str, flag: str) -> list:
 
 
 def _whole_number(text: str) -> int:
-    """A whole-number flag value, written like 100 or 1e6.  For inf, int
-    raises OverflowError, which main reports on one error line."""
+    """A whole-number flag value, written like 100 or 1e6; nan, inf and
+    fractions are usage errors."""
     try:
         v = float(text)
-        if v == int(v):
+        if math.isfinite(v) and v == int(v):
             return int(v)
     except ValueError:
         pass

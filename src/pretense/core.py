@@ -23,7 +23,14 @@ chunks of BLOCK entries, and divide n by a divisor of n as an exact float64
 quotient (n ≤ MAX_SIEVE_LIMIT < 2^53).  Besides these arrays, evaluate
 allocates nothing longer than BLOCK entries but the O(√N) prime powers: it
 reads the prime map once to choose the dtype and again to fill the table,
-so it holds no prime value.
+so it holds no prime value beyond the f(p), p ≤ √N, that it leaves in the
+spec's cache.
+
+A FunctionSpec computes each local quantity once and keeps it in its cache:
+f(p^k), the f(p) of its prime map, asked one prime at a time or in a batch
+(remember_primes), and the determinants D_f(·, p) of dirichlet and the
+recursion weights alpha(p) of degree.  The prime map must be elementwise, so
+a batch and a one-prime call give the same bits.
 
 Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
 Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
@@ -103,11 +110,18 @@ GRID_RATIO = 10.0 ** 0.125
 class FunctionSpec:
     """A multiplicative function given by its values at prime powers.
 
-    prime_values(ps) is the only f(p), for an int64 array of primes.  powers
-    gives f(p^k) for k >= 2 and is None exactly for completely multiplicative
-    kinds, where rule() gives f(p^k) = f(p^{k-1})·f(p).  value() adds
-    f(p^0) = 1, a cache and the unit-disc check of bounded_by_one, and is
-    where evaluate takes every f(p^k), k >= 2.
+    prime_values(ps) is the only f(p), for an int64 array of primes, and
+    must be elementwise: f(p) may not depend on the other entries of ps or
+    on their number, so a batch gives each prime the bits of a call on that
+    prime alone.  powers gives f(p^k) for k >= 2 and is None exactly for
+    completely multiplicative kinds, where rule() gives f(p^k) =
+    f(p^{k-1})·f(p).  value() adds f(p^0) = 1, a cache and the unit-disc
+    check of bounded_by_one, and is where evaluate takes every f(p^k), k >= 2.
+
+    _cache holds what the spec computes once per prime: value()'s f(p^k),
+    the f(p) memo of rule() (filled one prime at a time or by
+    remember_primes), and the determinants D_f(·, p) and recursion weights
+    alpha(p) that dirichlet and degree keep there.
     """
 
     name: str
@@ -144,15 +158,29 @@ class FunctionSpec:
             return np.multiply([self.value(p, k - 1)], [self.value(p, 1)])[0]
         return self.powers(p, k)
 
+    def remember_primes(self, ps: np.ndarray) -> None:
+        """Fill rule()'s f(p) memo for the int64 array of primes ps from one
+        call of the prime map, with the bits of one call per prime, as the
+        map is elementwise.  Nothing is checked or raised here: if the map
+        fails or returns the wrong shape, nothing is stored, and rule() asks
+        the map one prime at a time and fails as it always has."""
+        try:
+            vals = np.asarray(self.prime_values(ps))
+            if vals.shape != ps.shape:
+                return
+            got = list(map(complex, vals.tolist()))
+        except Exception:
+            return
+        self._cache.update(zip([("prime", p) for p in ps.tolist()], got))
+
     def value(self, p: int, k: int) -> complex:
+        cached = self._cache.get((p, k))
+        if cached is not None:
+            return cached
         if k == 0:
             return 1.0 + 0.0j
         if k < 0:
             raise InvalidArgumentError(f"negative exponent k={k}")
-        key = (p, k)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         try:
             v = complex(self.rule(p, k))
         except PretenseError:
@@ -165,7 +193,7 @@ class FunctionSpec:
             raise InvalidArgumentError(
                 f"spec {self.name!r} claims |f| <= 1 but |f({p}^{k})| = {abs(v)}"
             )
-        self._cache[key] = v
+        self._cache[(p, k)] = v
         return v
 
 
@@ -355,9 +383,12 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
     one: the same bits, except that the sign of a zero may differ.
 
     Every f(p^k), k >= 2, comes from spec.value, and primes from the prime
-    map, BLOCK primes at a time.  The dtype is chosen before the table
-    exists: the powers first, then the prime map chunk by chunk up to the
-    first chunk that is not real.  The table is filled from a second read of
+    map, BLOCK primes at a time.  The f(p) of the primes p ≤ √limit are
+    first remembered from one call of the map (remember_primes), so the
+    powers of a completely multiplicative spec, and a later lazy solve that
+    reads this spec, need no call of the map per prime.  The dtype is chosen
+    before the table exists: the powers first, then the prime map chunk by
+    chunk up to the first chunk that is not real.  The table is filled from a second read of
     the prime map, so no prime value is held.  Every other n is the single
     product f(pk)·f(rest) of its coprime parts, rest =
     SieveIndex.cofactor()[n] and pk = n / rest, an exact float64 quotient;
@@ -379,6 +410,7 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
     primes = sieve.primes[: np.searchsorted(sieve.primes, limit, side="right")]
     # only primes p ≤ √limit have p² ≤ limit
     small = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
+    spec.remember_primes(small)
     pos, powers = _prime_power_values(spec, small, limit)
     chunks = range(0, primes.size, BLOCK)
     real = not powers.imag.any() and not any(

@@ -7,6 +7,8 @@ symmetric values r_k of the same arguments (recovered from the q_k alone by
 a unit-triangular solve) furnish a linear recursion of depth d that the
 prime-power values must satisfy; its residual is the membership check, and
 the quotient determinants of any two degree-d functions vanish beyond d.
+The recursion weights alpha(p) are computed once per (spec, p) and kept, as
+read-only arrays, in the spec's cache (see FunctionSpec).
 """
 
 from __future__ import annotations
@@ -158,20 +160,28 @@ def _declared_degree(f: FunctionSpec) -> int:
 
 def alpha_coeffs(f: FunctionSpec, p: int) -> SymmetricCoeffs:
     """Recursion weights at a prime p from the first d prime-power values
-    alone."""
+    alone, computed once per (f, p) and kept in f's cache with read-only
+    arrays."""
     d = _declared_degree(f)
     p = int(p)
+    got = f._cache.get(("alpha", p))
+    if got is not None:
+        return got
     if not is_prime(p):
         raise InvalidArgumentError(f"{p} is not prime")
     q = np.array([f.value(p, k) for k in range(1, d + 1)])
     r = q_to_r(q)
     alpha = np.concatenate(([1.0 + 0.0j], r))
-    return SymmetricCoeffs(p=p, q=q, r=r, alpha=alpha)
+    for a in (q, r, alpha):
+        a.flags.writeable = False
+    got = f._cache[("alpha", p)] = SymmetricCoeffs(p=p, q=q, r=r, alpha=alpha)
+    return got
 
 
 def recursion_residual(f: FunctionSpec, p: int, n: int) -> float:
     """|Σ_{k=0}^d (−1)^k alpha_k f(p^{n+d−k})| — zero iff the depth-d
-    recursion holds at this n; genuine degree-d members are zero for all n."""
+    recursion holds at this n; genuine degree-d members are zero for all n.
+    alpha comes from alpha_coeffs, computed at the first n asked."""
     d = _declared_degree(f)
     p = int(p)
     n = int(n)

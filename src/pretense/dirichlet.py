@@ -10,6 +10,11 @@ solve_quotient performs that forward substitution; dirichlet_inverse is the
 same solve against the convolution identity δ.  The determinant route expresses
 the same coefficients through Toeplitz-Hessenberg determinants D_f(k, p): both
 paths are kept separate so they can check each other.
+
+Each local quantity is computed once per spec and kept in its cache (see
+FunctionSpec): solve_quotient takes the quotient's f(p) on its primes from
+one batch of the elementwise prime map, and D_f(0..k, p) are kept per (f, p)
+and extended when a higher order is asked, with the same bits.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ def is_prime(n: int) -> bool:
     for a in _MILLER_RABIN_BASES:
         if n % a == 0:
             return n == a
+    if n < 37 * 37:  # no prime factor ≤ 37, so none at all
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -160,9 +167,10 @@ def solve_quotient(
         prime_values=lambda ps: prime_values_of(g, ps) - prime_values_of(f, ps),
         powers=quotient_rule(f, g),
     )
+    spec.remember_primes(np.array(plist, dtype=np.int64))
     local = []
     for p in plist:
-        coeffs = np.array([spec.value(p, k) for k in range(K + 1)], dtype=np.complex128)
+        coeffs = [spec.value(p, k) for k in range(K + 1)]
         # reconvolve as a guard: the forward solve must reproduce g exactly
         for k in range(1, K + 1):
             acc = sum(f.value(p, k - j) * coeffs[j] for j in range(k + 1))
@@ -170,7 +178,7 @@ def solve_quotient(
                 raise PretenseError(
                     f"quotient solve inconsistent at p={p}, k={k}"
                 )
-        local.append(LocalSeries(p=p, coeffs=coeffs))
+        local.append(LocalSeries(p=p, coeffs=np.array(coeffs, dtype=np.complex128)))
     return QuotientSpec(
         spec=spec,
         numerator=g.name,
@@ -249,7 +257,12 @@ def convolve_table(ft: ValueTable, ht: ValueTable, limit: Optional[int] = None) 
 # Toeplitz-Hessenberg determinants
 
 def _determinants(f: FunctionSpec, p: int, k: int) -> list:
-    """[D_f(0, p), ..., D_f(k, p)] by the recurrence of determinant."""
+    """[D_f(0, p), ..., D_f(k, p)] by the recurrence of determinant.
+
+    The list is kept in f's cache per prime and extended to order k when a
+    call asks for more: D_m depends only on f(p^{≤m}) and D_{<m}, so it has
+    the same bits whichever orders were asked before.  Callers read it and
+    never change it."""
     k = int(k)
     if k < 0:
         raise InvalidArgumentError(f"determinant order must be >= 0, got {k}")
@@ -257,15 +270,16 @@ def _determinants(f: FunctionSpec, p: int, k: int) -> list:
         raise LimitError(
             f"determinant order {k} exceeds the documented cap {DETERMINANT_ORDER_CAP}"
         )
-    t = [f.value(p, j) for j in range(k + 1)]
-    d = [1.0 + 0.0j]
-    for m in range(1, k + 1):
-        acc = 0.0 + 0.0j
-        sign = 1.0
-        for j in range(1, m + 1):
-            acc += sign * t[j] * d[m - j]
-            sign = -sign
-        d.append(acc)
+    d = f._cache.setdefault(("det", p), [1.0 + 0.0j])
+    if len(d) <= k:
+        t = [f.value(p, j) for j in range(k + 1)]
+        for m in range(len(d), k + 1):
+            acc = 0.0 + 0.0j
+            sign = 1.0
+            for j in range(1, m + 1):
+                acc += sign * t[j] * d[m - j]
+                sign = -sign
+            d.append(acc)
     return d
 
 
@@ -281,7 +295,7 @@ def determinant(f: FunctionSpec, p: int, k: int) -> complex:
     which is what we evaluate (O(k²)).  The tests hold it to numpy's
     determinant of the k×k matrix itself.
     """
-    return _determinants(f, p, k)[-1]
+    return _determinants(f, p, k)[k]
 
 
 def h_via_determinant(f: FunctionSpec, g: FunctionSpec, p: int, n: int) -> complex:
@@ -289,9 +303,10 @@ def h_via_determinant(f: FunctionSpec, g: FunctionSpec, p: int, n: int) -> compl
 
         h(p^n) = Σ_{k=0}^{n−1} (−1)^k (g(p^{n−k}) − f(p^{n−k})) D_f(k, p).
 
-    D_f(0..n−1, p) come from one run of determinant's recurrence, O(n²).  Each
-    D_f(k, p) depends only on f(p^{≤k}), so the terms equal those of separate
-    determinant calls to the bit.
+    D_f(0..n−1, p) come from determinant's recurrence, O(n²) once per (f, p)
+    and read from f's cache after that.  Each D_f(k, p) depends only on
+    f(p^{≤k}), so the terms equal those of separate determinant calls to the
+    bit.
     """
     n = int(n)
     if n < 1:

@@ -223,21 +223,23 @@ def distance_strong(
     pf = ps.astype(np.float64)
     fp = prime_values_of(f, ps)
     gp = prime_values_of(g, ps)
-    terms = np.abs(fp - gp) / pf**beta
     both_cm = (
         f.kind == COMPLETELY_MULTIPLICATIVE and g.kind == COMPLETELY_MULTIPLICATIVE
     )
-    fpj, gpj = fp, gp
-    for j in range(2, k + 1):
-        if both_cm:
-            # the running product f(p^j) = f(p^{j-1})·f(p) of FunctionSpec.rule
-            fpj, gpj = fpj * fp, gpj * gp
-            diff = np.abs(fpj - gpj)
-        else:
-            diff = np.abs(
-                np.array([f.value(int(p), j) - g.value(int(p), j) for p in ps])
-            )
-        terms += diff / pf ** (j * beta)
+    # p^{jβ} may overflow to inf, which makes its finite term 0
+    with np.errstate(over="ignore"):
+        terms = np.abs(fp - gp) / pf**beta
+        fpj, gpj = fp, gp
+        for j in range(2, k + 1):
+            if both_cm:
+                # the running product f(p^j) = f(p^{j-1})·f(p) of FunctionSpec.rule
+                fpj, gpj = fpj * fp, gpj * gp
+                diff = np.abs(fpj - gpj)
+            else:
+                diff = np.abs(
+                    np.array([f.value(int(p), j) - g.value(int(p), j) for p in ps])
+                )
+            terms += diff / pf ** (j * beta)
     params = {"f": f.name, "g": g.name, "beta": beta, "k": k, "cutoff": cutoff}
     return _series_report(
         "strong-beta-k", params, ps, terms, cutoff, checkpoints, mode, threads,
@@ -250,6 +252,15 @@ def distance_strong(
 def _spec_of(h) -> FunctionSpec:
     # accept either a FunctionSpec or anything carrying one (QuotientSpec)
     return h if isinstance(h, FunctionSpec) else h.spec
+
+
+def _local_term(num: float, p: int, e: float) -> float:
+    """num / p^e; where p^e overflows a float, num · p^{−e}, as p^{−e}
+    underflows to a subnormal or 0 where p^e raises."""
+    try:
+        return num / float(p) ** e
+    except OverflowError:
+        return num * float(p) ** -e
 
 
 def _truncated_local_report(
@@ -279,10 +290,8 @@ def _truncated_local_report(
     tail_total = 0.0
     for p in ps:
         p = int(p)
-        tk = [
-            abs(h.value(p, k)) ** power / float(p) ** (k * sigma)
-            for k in range(k_start, K + 1)
-        ]
+        tk = [_local_term(abs(h.value(p, k)) ** power, p, k * sigma)
+              for k in range(k_start, K + 1)]
         inner = float(sum(tk))
         t_last, t_prev = tk[-1], tk[-2]
         if t_prev == 0.0 and t_last == 0.0:

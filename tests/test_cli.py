@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -470,7 +471,7 @@ def test_every_exponent_stops_at_the_cap(capsys, argv):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("n", ["2.5", "100.7", "1e2.5", "nan", "x"])
+@pytest.mark.parametrize("n", ["2.5", "100.7", "1e2.5", "nan", "inf", "x"])
 def test_non_whole_limit_is_a_usage_error(capsys, n):
     with pytest.raises(SystemExit) as exc:
         main(["sums", "--spec", "moebius", "--N", n])
@@ -495,7 +496,7 @@ def test_non_whole_limit_is_a_usage_error(capsys, n):
       "--spec2", "one", "--N", "100"], "--beta must be finite"),
     (["distance", "--kind", "beta", "--beta=-inf", "--spec", "one",
       "--spec2", "one", "--N", "100"], "--beta must be finite"),
-    (["sums", "--spec", "one", "--N", "inf"], "cannot convert float infinity"),
+    (["construct", "archimedean-twist", "--t", "inf"], "--t must be finite"),
     (["lseries", "--spec", "one", "--N", "1000", "--s", "-200"],
      "truncated Dirichlet series at s=(-200+0j) is not finite"),
     (["lseries", "--spec", "moebius", "--spec2", "liouville", "--N", "1000",
@@ -563,6 +564,28 @@ def test_overflowing_modulus_gives_one_error_line_and_no_file(tmp_path, capsys):
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def test_strong_distance_with_overflowing_weights_warns_nothing(capsys):
+    # p^{jβ} overflows for p^128 beyond 2^1024; those terms are 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["distance", "--kind", "strong", "--beta", "2", "--spec", "moebius",
+                     "--spec2", "one", "--N", "1000", "--k", "64"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert _sha(out.out.encode()) == (
+        "2fb916334ec3ff9e26dc2a9a4abe28893facdc221102c751573e0a4608674b39")
+
+
+def test_local_series_with_overflowing_weights_is_finite(capsys):
+    # p^{kσ} overflows a float for 1000^192; such a term is |h|·p^{−kσ}
+    assert main(["hseries", "--spec", "moebius", "--sigma", "3", "--Y", "1000",
+                 "--k", "64"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    params = json.loads(out.out)["params"]
+    assert params["converged"] and math.isfinite(params["value"])
 
 
 @pytest.mark.parametrize("block", [1, 3, core.BLOCK])

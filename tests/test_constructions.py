@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -473,3 +475,66 @@ def test_phi_multiplicative_against_factorization(q):
     for p, k in fac:
         want *= (p - 1) * p ** (k - 1)
     assert euler_phi(q) == want
+
+
+# ---------------------------------------------------------------------------
+# batched prime map: FunctionSpec.remember_primes
+
+_FIRST_200_PRIMES = build_sieve(1223).primes  # the 200th prime is 1223
+
+
+def _fresh(spec):
+    return dataclasses.replace(spec, _cache={})
+
+
+def _batch_mismatches(spec, ps):
+    """Primes where the f(p) that remember_primes stores for a fresh copy of
+    spec differs in any bit from rule(p, 1) of another fresh copy."""
+    batched, single = _fresh(spec), _fresh(spec)
+    batched.remember_primes(ps)
+    bad = []
+    for p in ps.tolist():
+        got, want = batched._cache[("prime", p)], single.rule(p, 1)
+        if struct.pack("<dd", got.real, got.imag) != struct.pack("<dd", want.real, want.imag):
+            bad.append(p)
+    return bad
+
+
+def _every_construction():
+    chi = dirichlet_character(7, 1)
+    f = random_spec(11, kind=GENERAL_MULTIPLICATIVE)
+    g = random_spec(12, kind=GENERAL_MULTIPLICATIVE)
+    q = solve_quotient(f, g, [2, 3, 5], 4).spec
+    return {
+        **{name: standard_spec(name) for name in ("one", "delta", "moebius", "liouville")},
+        "character": chi,
+        "character-real": dirichlet_character(12, 1),
+        "kronecker": kronecker_character(-4),
+        "archimedean": archimedean_twist(1.5),
+        "optimality": optimality_twist(dirichlet_character(4, 1), 0.5, diagnostics_cutoff=1000),
+        "sparse-dyadic": sparse_dyadic(chi, [2, 3]),
+        "squarefree": squarefree_restrict(chi),
+        "random-cm": random_spec(10),
+        "random-gm": f,
+        "tabulated": tabulated_spec(
+            {(p, 1): complex(np.cos(p), np.sin(p)) for p in _FIRST_200_PRIMES.tolist()},
+            name="tab", kind=COMPLETELY_MULTIPLICATIVE),
+        "quotient": q,
+        "inverse": dirichlet_inverse(q),
+        "degree-d": degree_d_spec([chi, archimedean_twist(0.5), standard_spec("liouville")]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_every_construction()))
+def test_batched_prime_values_match_one_prime_rule_to_the_bit(name):
+    spec = _every_construction()[name]
+    assert _batch_mismatches(spec, _FIRST_200_PRIMES) == []
+
+
+def test_bit_test_catches_a_prime_map_that_is_not_elementwise():
+    from pretense.core import FunctionSpec
+
+    # each value depends on how many primes are asked at once
+    spec = FunctionSpec(name="batch-size", kind=COMPLETELY_MULTIPLICATIVE,
+                        prime_values=lambda ps: np.cos(ps * 1.0) / ps.size)
+    assert _batch_mismatches(spec, _FIRST_200_PRIMES) == _FIRST_200_PRIMES.tolist()

@@ -170,3 +170,20 @@ def test_growth_delta_check_reports(sieve_1e4):
         assert all(a <= b + 1e-15 for a, b in zip(ms, ms[1:]))
     # divisor counts are not O(n^0.1) in this range: the max keeps moving up
     assert reports[0].last_increase_n > 5000
+
+
+def test_recursion_residual_is_the_same_with_cold_and_warm_alpha():
+    members = [random_spec(s, limit=100) for s in (81, 82, 83)]
+    warm = degree_d_spec(members)
+    for p in (2, 3, 5, 47):
+        for n in range(8):
+            cold = degree_d_spec(members)  # a fresh spec computes alpha anew
+            assert recursion_residual(warm, p, n) == recursion_residual(cold, p, n)
+        assert alpha_coeffs(warm, p) is alpha_coeffs(warm, p)
+
+
+def test_cached_alpha_arrays_are_read_only():
+    coeffs = alpha_coeffs(degree_d_spec([standard_spec("one")] * 2), 7)
+    for a in (coeffs.q, coeffs.r, coeffs.alpha):
+        with pytest.raises(ValueError):
+            a[0] = 0.0

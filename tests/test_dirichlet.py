@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pretense.cli import _local_json
-from pretense.constructions import standard_spec
-from pretense.core import build_sieve, evaluate, json_obj
+from pretense.constructions import standard_spec, tabulated_spec
+from pretense.core import COMPLETELY_MULTIPLICATIVE, build_sieve, evaluate, json_obj
 from pretense.degree import degree_d_spec, r_poly
 from pretense.dirichlet import (
     DETERMINANT_ORDER_CAP,
@@ -19,7 +20,7 @@ from pretense.dirichlet import (
     is_prime,
     solve_quotient,
 )
-from pretense.errors import InvalidArgumentError, LimitError
+from pretense.errors import InvalidArgumentError, LimitError, RuleError
 from pretense.randspecs import random_spec
 
 from oracles import (
@@ -296,3 +297,65 @@ def test_solve_quotient_input_validation():
         solve_quotient(f, standard_spec("delta"), primes=(), max_exponent=3)
     with pytest.raises(InvalidArgumentError):
         solve_quotient(f, standard_spec("delta"), primes=(2,), max_exponent=0)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division_is_prime(n)]
+
+
+def _det_bits(values):
+    return np.array(values, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 13])
+def test_cached_determinants_do_not_depend_on_query_order(p):
+    f = random_spec(31, limit=20, kind="general-multiplicative")
+    g = random_spec(32, limit=20, kind="general-multiplicative")
+    orders = range(0, 13)
+    fresh = [determinant(dataclasses.replace(f, _cache={}), p, k) for k in orders]
+    up, down = dataclasses.replace(f, _cache={}), dataclasses.replace(f, _cache={})
+    ascending = [determinant(up, p, k) for k in orders]
+    descending = [determinant(down, p, k) for k in reversed(orders)][::-1]
+    assert _det_bits(ascending) == _det_bits(fresh) == _det_bits(descending)
+
+    exps = range(1, 13)
+    fresh = [h_via_determinant(dataclasses.replace(f, _cache={}), g, p, n) for n in exps]
+    up, down = dataclasses.replace(f, _cache={}), dataclasses.replace(f, _cache={})
+    ascending = [h_via_determinant(up, g, p, n) for n in exps]
+    descending = [h_via_determinant(down, g, p, n) for n in reversed(exps)][::-1]
+    assert _det_bits(ascending) == _det_bits(fresh) == _det_bits(descending)
+
+
+def test_batch_fallback_keeps_the_untabulated_prime_error():
+    gap = tabulated_spec({(2, 1): 0.5, (3, 1): -1.0, (7, 1): 0.25}, name="gap",
+                         kind=COMPLETELY_MULTIPLICATIVE)
+    gap.remember_primes(np.array([2, 3, 5, 7], dtype=np.int64))
+    assert not any(key[0] == "prime" for key in gap._cache)  # nothing stored
+    with pytest.raises(RuleError) as exc:
+        evaluate(gap, build_sieve(100))
+    assert str(exc.value) == "gap is not tabulated at p=5"
+
+
+def test_batch_fallback_keeps_the_unit_disc_errors():
+    def big():
+        return tabulated_spec({(p, 1): 2.0 if p == 3 else 0.5 for p in (2, 3, 5, 7)},
+                              name="big", kind=COMPLETELY_MULTIPLICATIVE,
+                              bounded_by_one=True)
+
+    # the quotient's prime map checks g and fails as a batch: one prime at a
+    # time, p = 3 fails first
+    with pytest.raises(InvalidArgumentError) as exc:
+        solve_quotient(standard_spec("one"), big(), [2, 3, 5], 4)
+    assert str(exc.value) == "spec 'big' claims |f| <= 1 but |f(3)| > 1"
+    # a batch of the unchecked map is stored, and value() still checks f(3)
+    with pytest.raises(InvalidArgumentError) as exc:
+        evaluate(big(), build_sieve(30))
+    assert str(exc.value) == "spec 'big' claims |f| <= 1 but |f(3^1)| = 2.0"
+    with pytest.raises(InvalidArgumentError) as exc:
+        evaluate(big(), build_sieve(7))
+    assert str(exc.value) == "spec 'big' claims |f| <= 1 but |f(3)| > 1"
