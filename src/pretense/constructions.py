@@ -158,8 +158,8 @@ def dirichlet_character(q: int, index: int) -> FunctionSpec:
     _unit_group, 2-part first, then odd primes in ascending order), the index
     digits c_i = (index // Π_{l<i} d_l) mod d_i fix χ(g_i) = e(c_i / d_i).
     Index 0 is the principal character.  Values are precomputed on a period,
-    and construction verifies multiplicativity against a dense evaluation on
-    [1, 3q].
+    the spec's one source of values, and construction verifies
+    multiplicativity against a dense product evaluation on [1, 3q].
     """
     q = int(q)
     index = int(index)
@@ -199,22 +199,35 @@ def dirichlet_character(q: int, index: int) -> FunctionSpec:
                 a = (a + step) % lcm
         fill(0, 1 % q, 0)
 
-    spec = FunctionSpec(
-        name=f"chi({q},{index})",
-        kind=COMPLETELY_MULTIPLICATIVE,
-        prime_values=lambda ps: table[ps % q],
-        bounded_by_one=True,
-        params={"construction": "character", "q": q, "index": index},
+    return _periodic_spec(
+        f"chi({q},{index})", table, {"construction": "character", "q": q, "index": index}
     )
-    _verify_periodic_table(spec, table, q)
-    return spec
 
 
-def _verify_periodic_table(spec: FunctionSpec, table: np.ndarray, q: int) -> None:
-    """Dense-evaluate spec on [1, 3q] and compare against the tiled table."""
+def _periodic_spec(name: str, period: np.ndarray, params: dict) -> FunctionSpec:
+    """The completely multiplicative spec whose every value comes from
+    period, f(0), ..., f(q - 1), once _verify_periodic_table has checked
+    that the period is multiplicative."""
+    q = period.size
+    spec = dict(
+        name=name,
+        kind=COMPLETELY_MULTIPLICATIVE,
+        prime_values=lambda ps: period[ps % q],
+        bounded_by_one=True,
+        params=params,
+    )
+    _verify_periodic_table(FunctionSpec(**spec), period)
+    return FunctionSpec(**spec, period=period)
+
+
+def _verify_periodic_table(spec: FunctionSpec, period: np.ndarray) -> None:
+    """Dense-evaluate spec, which has the prime map but not the period, by the
+    product fill on [1, 3q] and compare it against the tiled period.  The
+    spec and what it caches are thrown away afterwards."""
+    q = period.size
     hi = max(3 * q, 8)
     dense = evaluate(spec, build_sieve(hi), hi).values
-    tiled = table[np.arange(hi + 1) % q]
+    tiled = period[np.arange(hi + 1) % q]
     if not np.allclose(dense[1:], tiled[1:], atol=1e-9):
         n = 1 + int(np.argmax(np.abs(dense[1:] - tiled[1:]) > 1e-9))
         raise PretenseError(
@@ -278,20 +291,10 @@ def kronecker_character(D: int) -> FunctionSpec:
         raise InvalidArgumentError(f"|D| must be <= {MAX_MODULUS}")
     if not _is_fundamental_discriminant(D):
         raise InvalidArgumentError(f"{D} is not a fundamental discriminant")
-    period = max(abs(D), 1)
-    table = np.array(
-        [kronecker_symbol(D, r) for r in range(period)], dtype=np.complex128
+    period = np.array(
+        [kronecker_symbol(D, r) for r in range(max(abs(D), 1))], dtype=np.complex128
     )
-
-    spec = FunctionSpec(
-        name=f"kron({D})",
-        kind=COMPLETELY_MULTIPLICATIVE,
-        prime_values=lambda ps: table[ps % period],
-        bounded_by_one=True,
-        params={"construction": "kronecker", "D": D},
-    )
-    _verify_periodic_table(spec, table, period)
-    return spec
+    return _periodic_spec(f"kron({D})", period, {"construction": "kronecker", "D": D})
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ FunctionSpec.  Everything downstream works from its prime map and powers:
 
     build_sieve(N)          smallest-prime-factor table and prime list up to N,
                             in L2-sized segments
-    evaluate(spec, sieve)   dense table of f(n) for 1 ≤ n ≤ N
+    evaluate(spec, sieve)   dense table of f(n) for 1 ≤ n ≤ N; a character's
+                            is its period, tiled
     value_chunks(table, N)  views of f(1), ..., f(N), BLOCK values at a time:
                             the one reader of a table in order of n, the source
                             that an evaluation by blocks would replace
@@ -24,7 +25,11 @@ quotient (n ≤ MAX_SIEVE_LIMIT < 2^53).  Besides these arrays, evaluate
 allocates nothing longer than BLOCK entries but the O(√N) prime powers: it
 reads the prime map once to choose the dtype and again to fill the table,
 so it holds no prime value beyond the f(p), p ≤ √N, that it leaves in the
-spec's cache.
+spec's cache.  A spec with a period, as the Dirichlet and Kronecker
+characters have, takes every value from it: evaluate copies the period into
+the table and doubles the copied part until the table is full, so it needs
+neither the cofactor nor anything besides the table, and its values are
+the period's to the bit.
 
 A FunctionSpec computes each local quantity once and keeps it in its cache:
 f(p^k), the f(p) of its prime map, asked one prime at a time or in a batch
@@ -118,6 +123,13 @@ class FunctionSpec:
     f(p^{k-1})·f(p).  value() adds f(p^0) = 1, a cache and the unit-disc
     check of bounded_by_one, and is where evaluate takes every f(p^k), k >= 2.
 
+    period, when given, is f(0), ..., f(q - 1) of a completely multiplicative
+    f of period q, as complex128 (Dirichlet and Kronecker characters set
+    it), and is then the one source of every value: the prime map reads
+    period[ps % q], rule() reads f(p^k) = period[p^k mod q] and evaluate
+    tiles it.  __post_init__ rejects it on any other kind, and under
+    bounded_by_one an entry off the unit disc, and makes it read-only.
+
     _cache holds what the spec computes once per prime: value()'s f(p^k),
     the f(p) memo of rule() (filled one prime at a time or by
     remember_primes), and the determinants D_f(·, p) and recursion weights
@@ -133,6 +145,7 @@ class FunctionSpec:
     degree: Optional[int] = None
     constituents: Optional[tuple] = None
     params: Optional[dict] = None
+    period: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -141,9 +154,29 @@ class FunctionSpec:
         if (self.powers is None) != (self.kind == COMPLETELY_MULTIPLICATIVE):
             need = "takes no" if self.kind == COMPLETELY_MULTIPLICATIVE else "needs a"
             raise InvalidArgumentError(f"{self.kind} spec {self.name!r} {need} powers rule")
+        period = self.period
+        if period is None:
+            return
+        if self.kind != COMPLETELY_MULTIPLICATIVE:
+            raise InvalidArgumentError(
+                f"{self.kind} spec {self.name!r} cannot take a period")
+        if not (isinstance(period, np.ndarray) and period.dtype == np.complex128
+                and period.ndim == 1 and period.size > 0):
+            raise InvalidArgumentError(
+                f"period of spec {self.name!r} must be a nonempty 1-d complex128 array")
+        if self.bounded_by_one:
+            bad = np.abs(period) > 1.0 + UNIT_DISC_TOL
+            if bad.any():
+                r = int(np.argmax(bad))
+                raise InvalidArgumentError(
+                    f"spec {self.name!r} claims |f| <= 1 but its period has"
+                    f" |f({r})| = {abs(period[r])}"
+                )
+        period.flags.writeable = False
 
     def rule(self, p: int, k: int) -> complex:
-        """f(p^k), k >= 1.  Completely multiplicative powers multiply 1-element
+        """f(p^k), k >= 1.  A periodic spec reads f(p^k), k >= 2, from its
+        period.  Other completely multiplicative powers multiply 1-element
         arrays: numpy may fuse multiply-adds where Python won't, and tables
         keep numpy's bits.
         f(p) is memoized apart from value()'s cache, which holds only values
@@ -154,6 +187,8 @@ class FunctionSpec:
                 got = complex(self.prime_values(np.array([p], dtype=np.int64))[0])
                 self._cache[("prime", p)] = got
             return got
+        if self.period is not None:
+            return self.period[pow(p, k, self.period.size)]
         if self.powers is None:
             return np.multiply([self.value(p, k - 1)], [self.value(p, 1)])[0]
         return self.powers(p, k)
@@ -374,23 +409,61 @@ def _prime_power_values(spec: FunctionSpec, small: np.ndarray, limit: int):
     return np.array(pos, dtype=np.int64), np.array(got, dtype=np.complex128)
 
 
+def _zero_table(limit: int, dtype) -> np.ndarray:
+    """np.zeros of limit + 1 entries, or ResourceError with the bytes asked."""
+    try:
+        return np.zeros(limit + 1, dtype=dtype)
+    except MemoryError as exc:
+        raise ResourceError(
+            f"could not allocate {np.dtype(dtype).itemsize * (limit + 1)} bytes"
+            " for the value table"
+        ) from exc
+
+
+def _tile_period(period: np.ndarray, limit: int) -> np.ndarray:
+    """period[n % q] for 0 < n ≤ limit, 0 at n = 0: float64 when
+    period[1 : min(limit, q - 1) + 1] has a zero imaginary part, else
+    complex128.  The period goes in once; then the filled part, a whole
+    number of periods, is copied after itself, so each step doubles it.
+    The copies do not overlap, and nothing but the table is allocated."""
+    q = period.size
+    real = not period[1 : min(limit, q - 1) + 1].imag.any()
+    values = _zero_table(limit, np.float64 if real else np.complex128)
+    done = min(q, limit + 1)
+    values[:done] = period[:done].real if real else period[:done]
+    while done <= limit:
+        n = min(done, limit + 1 - done)
+        values[done : done + n] = values[:n]
+        done += n
+    values[0] = 0.0
+    return values
+
+
 def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None) -> ValueTable:
-    """Dense table of f(n), 1 ≤ n ≤ limit, from the spec's prime-power values.
+    """Dense table of f(n), 1 ≤ n ≤ limit.
 
     The table is float64 when f(p) and f(p^k) have a zero imaginary part (of
     either sign) at every prime power ≤ limit, vacuously at limit 1, and
     complex128 otherwise.  A real table holds the real parts of the complex
     one: the same bits, except that the sign of a zero may differ.
 
-    Every f(p^k), k >= 2, comes from spec.value, and primes from the prime
-    map, BLOCK primes at a time.  The f(p) of the primes p ≤ √limit are
-    first remembered from one call of the map (remember_primes), so the
-    powers of a completely multiplicative spec, and a later lazy solve that
-    reads this spec, need no call of the map per prime.  The dtype is chosen
-    before the table exists: the powers first, then the prime map chunk by
-    chunk up to the first chunk that is not real.  The table is filled from a second read of
-    the prime map, so no prime value is held.  Every other n is the single
-    product f(pk)·f(rest) of its coprime parts, rest =
+    A spec with a period takes every f(n) from it: the table is the period
+    tiled (_tile_period), with no gather, no cofactor and no call of the
+    prime map.  It is real when the period's entries 1 to min(limit, q - 1)
+    are.  For a character that is the rule above: each n in that range is a
+    product of primes ≤ limit, and each prime p ≤ limit has its residue
+    p mod q among those entries or has f(p) = 0.
+
+    Every other spec is filled from its prime-power values.  Every f(p^k),
+    k >= 2, comes from spec.value, and primes from the prime map, BLOCK
+    primes at a time.  The f(p) of the primes p ≤ √limit are first
+    remembered from one call of the map (remember_primes), so the powers of
+    a completely multiplicative spec, and a later lazy solve that reads this
+    spec, need no call of the map per prime.  The dtype is chosen before the
+    table exists: the powers first, then the prime map chunk by chunk up to
+    the first chunk that is not real.  The table is filled from a second
+    read of the prime map, so no prime value is held.  Every other n is the
+    single product f(pk)·f(rest) of its coprime parts, rest =
     SieveIndex.cofactor()[n] and pk = n / rest, an exact float64 quotient;
     both are at most n/2, so chunks (lo, min(2·lo, lo + BLOCK, limit)] filled
     in ascending order read only finished entries, and no temporary outgrows
@@ -407,6 +480,8 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
         )
     if limit == 1:
         return ValueTable(spec=spec, limit=limit, values=np.array([0.0, 1.0]))
+    if spec.period is not None:
+        return ValueTable(spec=spec, limit=limit, values=_tile_period(spec.period, limit))
     primes = sieve.primes[: np.searchsorted(sieve.primes, limit, side="right")]
     # only primes p ≤ √limit have p² ≤ limit
     small = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
@@ -416,15 +491,8 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
     real = not powers.imag.any() and not any(
         prime_values_of(spec, primes[a : a + BLOCK]).imag.any() for a in chunks
     )
-    dtype = np.float64 if real else np.complex128
     cast = np.real if real else np.asarray
-    try:
-        values = np.zeros(limit + 1, dtype=dtype)
-    except MemoryError as exc:
-        raise ResourceError(
-            f"could not allocate {np.dtype(dtype).itemsize * (limit + 1)} bytes"
-            " for the value table"
-        ) from exc
+    values = _zero_table(limit, np.float64 if real else np.complex128)
     values[1] = 1.0
     for a in chunks:
         ps = primes[a : a + BLOCK]

@@ -193,6 +193,26 @@ def _weighted_distance(kind, f, g, beta, cutoff, checkpoints, sieve, mode, threa
     return _series_report(kind, params, ps, terms, cutoff, checkpoints, mode, threads)
 
 
+def _cm_powers(spec: FunctionSpec, ps: np.ndarray, fp: np.ndarray, k: int):
+    """Yield f(p^j) at the primes ps for j = 2, ..., k, with the bits of
+    FunctionSpec.rule, for a completely multiplicative spec with f(p) = fp:
+    from the period at the int64 residues r_j = r_{j-1}·(p mod q) mod q
+    (each product is below q², exact in int64), or else as the running
+    product f(p^{j-1})·f(p) of rule."""
+    if spec.period is not None:
+        q = spec.period.size
+        r1 = ps % q
+        r = r1
+        for _ in range(2, k + 1):
+            r = r * r1 % q
+            yield spec.period[r]
+        return
+    fpj = fp
+    for _ in range(2, k + 1):
+        fpj = fpj * fp
+        yield fpj
+
+
 def distance_strong(
     f: FunctionSpec,
     g: FunctionSpec,
@@ -226,15 +246,14 @@ def distance_strong(
     both_cm = (
         f.kind == COMPLETELY_MULTIPLICATIVE and g.kind == COMPLETELY_MULTIPLICATIVE
     )
+    if both_cm:
+        fpows, gpows = _cm_powers(f, ps, fp, k), _cm_powers(g, ps, gp, k)
     # p^{jβ} may overflow to inf, which makes its finite term 0
     with np.errstate(over="ignore"):
         terms = np.abs(fp - gp) / pf**beta
-        fpj, gpj = fp, gp
         for j in range(2, k + 1):
             if both_cm:
-                # the running product f(p^j) = f(p^{j-1})·f(p) of FunctionSpec.rule
-                fpj, gpj = fpj * fp, gpj * gp
-                diff = np.abs(fpj - gpj)
+                diff = np.abs(next(fpows) - next(gpows))
             else:
                 diff = np.abs(
                     np.array([f.value(int(p), j) - g.value(int(p), j) for p in ps])

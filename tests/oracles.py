@@ -8,6 +8,7 @@ evidence, not tautology.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,6 +333,29 @@ def pk_rest_evaluate(spec, sieve, limit=None, dtype=np.complex128) -> np.ndarray
         values[comp] = values[pk[comp]] * values[rest[comp]]
         lo = hi
     return values
+
+
+def period_evaluate(spec, limit: int, dtype=np.complex128) -> np.ndarray:
+    """Dense f(n) = period[n % q] of a spec with a period, 0 at n = 0, by one
+    gather over all n: the byte reference of the tiled fill.  A float64 table
+    keeps the real parts."""
+    values = spec.period[np.arange(limit + 1) % spec.period.size]
+    values[0] = 0.0
+    return values.real.copy() if dtype == np.float64 else values
+
+
+def reference_evaluate(spec, sieve, limit=None, dtype=np.complex128) -> np.ndarray:
+    """The byte reference of evaluate: period_evaluate for a spec with a
+    period, pk_rest_evaluate for any other."""
+    if spec.period is not None:
+        return period_evaluate(spec, sieve.limit if limit is None else int(limit), dtype)
+    return pk_rest_evaluate(spec, sieve, limit, dtype)
+
+
+def product_copy(spec):
+    """spec without its period, under a name of its own: the same prime map,
+    filled by the product path of evaluate."""
+    return dataclasses.replace(spec, name=f"{spec.name}-product", period=None, _cache={})
 
 
 def per_m_roundtrip_residual(h_table, h_inverse_table, xi, x: float, mode) -> float:

@@ -616,13 +616,13 @@ _JSON_STDOUT_SHA256 = {
     "quotient": ("quotient --spec one --spec2 delta --primes 2,3 --k 4",
                  "4eab933e727243ff91466f3b90ad814ad3a49e13809b3a1bd830fb0276f077a6"),
     "quotient2": ("quotient --spec char:4:1 --spec2 liouville --k 8",
-                  "e78382a7c0e6283b2aada8dc4be5583e12c6d354c5e95b4622f00fdbd4a73682"),
+                  "e887626f1663869accc3bd8fcd54149a53d59653f89d59a53e07274749750ee1"),
     "quotient3": ("quotient --spec twist:1.5 --spec2 moebius --primes 2,3,5,7 --k 6",
                   "def35de7b7aaa5427b29abbe46f0ccbcd63440c82684a037f8447314829ee3da"),
     "inverse": ("inverse --spec one --primes 2 --k 3",
                 "fb01907ccbad877c3d16ad3acc9ae9b2046045fb0bc0e7cdd127ec691579f1d9"),
     "inverse2": ("inverse --spec char:7:1 --primes 2,3,5 --k 6",
-                 "253d25ad5db1dc4a31c7415dc4cbdf2a66c0276b43c0f8ec9bdcba87f4337b05"),
+                 "c8cc0d2f6e28a279399e08b93363c346647c6f251c264944e3c52b7828db90c9"),
     "inverse3": ("inverse --spec twist:0.5 --k 5",
                  "d030afb5e8bbc1f91175e5cfa1da4bf738db824026ad3927c026d5ae636bbc2d"),
     "dist-classic": ("distance --spec one --spec2 liouville --N 1e5",

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import struct
 from functools import lru_cache
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pretense import constructions
 from pretense.constructions import (
     archimedean_twist,
     dirichlet_character,
@@ -41,7 +43,7 @@ from pretense.dirichlet import (
     dirichlet_inverse,
     solve_quotient,
 )
-from pretense.errors import InvalidArgumentError, OutOfRangeError
+from pretense.errors import InvalidArgumentError, OutOfRangeError, PretenseError
 from pretense.randspecs import random_pair_sparse_diff, random_spec
 
 from conftest import table_csv
@@ -50,8 +52,9 @@ from oracles import (
     brute_moebius,
     brute_squarefree_char_sums,
     divisor_fold,
-    pk_rest_evaluate,
+    product_copy,
     real_at_prime_powers,
+    reference_evaluate,
 )
 
 
@@ -140,6 +143,48 @@ def test_character_against_kronecker(sieve_1e4):
         a = evaluate(dirichlet_character(q, 1), sieve_1e4, 50).values
         b = evaluate(kronecker_character(D), sieve_1e4, 50).values
         assert np.array_equal(a, b)
+
+
+def test_a_corrupted_period_fails_at_construction():
+    # the construction check compares the product fill of a copy without the
+    # period with the tiled period, and leaves nothing in the spec's cache
+    for build, units in ((lambda: dirichlet_character(7, 1), range(1, 7)),
+                         (lambda: kronecker_character(5), range(1, 5))):
+        good = build()
+        assert good._cache == {}
+        name, params = good.name, good.params
+        again = constructions._periodic_spec(name, good.period.copy(), params)
+        assert again.period.tobytes() == good.period.tobytes()
+        for r in units:
+            bad = good.period.copy()
+            bad[r] *= np.exp(0.25j)  # still on the unit circle
+            with pytest.raises(PretenseError, match="disagrees with its rule"):
+                constructions._periodic_spec(name, bad, params)
+
+
+@pytest.mark.parametrize("q", [7, 11, 13])
+def test_character_sums_drift_by_whole_periods(q, sieve_1e6):
+    # the tiled table is the rounded period repeated, so S(x) is
+    # floor(x/q)·P + prefix(x mod q), P the sum of the period, exactly up to
+    # Sum2's own error; its drift from the bounded prefix grows with x
+    chi = dirichlet_character(q, 1)
+    period = chi.period
+
+    def fsum(vals):
+        return complex(math.fsum(vals.real), math.fsum(vals.imag))
+
+    total = fsum(period)
+    prefix = np.array([fsum(period[1 : r + 1]) for r in range(q)])
+    rng = np.random.default_rng(q)
+    x = np.unique(np.concatenate([geometric_checkpoints(1, 10**6),
+                                  rng.integers(1, 10**6 + 1, 2000), [10**6]]))
+    n = x.astype(np.int64)
+    got = partial_sums(evaluate(chi, sieve_1e6), x).sums
+    want = (n // q) * total + prefix[n % q]
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # the drift term is not vacuous: without it the same bound fails
+    assert total != 0
+    assert np.max(np.abs(got - prefix[n % q])) > 1e-11
 
 
 def test_kronecker_symbol_classical_table():
@@ -341,11 +386,13 @@ ZOO_LIMIT = 20_000
 
 @lru_cache(maxsize=None)
 def _zoo():
-    """One spec of every construction, tabulated ones up to ZOO_LIMIT."""
+    """One spec of every construction, tabulated ones up to ZOO_LIMIT, and a
+    copy of chi7 without its period, which evaluate fills by products."""
     chi4, chi7 = dirichlet_character(4, 1), dirichlet_character(7, 1)
     rand_gm = random_spec(5, limit=ZOO_LIMIT, kind=GENERAL_MULTIPLICATIVE, max_exponent=15)
     return tuple(standard_spec(n) for n in ("one", "delta", "moebius", "liouville")) + (
         chi7,
+        product_copy(chi7),
         kronecker_character(-8),
         archimedean_twist(1.25),
         sparse_dyadic(chi7, [2, 3]),
@@ -413,7 +460,7 @@ def test_tables_are_real_exactly_when_every_prime_power_value_is(n, data):
             mp.setattr(core, "BLOCK", b)
             sieve = build_sieve(max(n, 2))
             table = evaluate(spec, sieve, n)
-            ref = pk_rest_evaluate(spec, sieve, n)
+            ref = reference_evaluate(spec, sieve, n)
             assert table.values.dtype == (np.float64 if real else np.complex128), b
             if not real:
                 assert table.values.tobytes() == ref.tobytes(), b
@@ -428,7 +475,7 @@ def test_tables_are_real_exactly_when_every_prime_power_value_is(n, data):
     got = convolve_table(table, ot).values
     if real:
         assert got.dtype == np.float64
-        want = divisor_fold(ref, pk_rest_evaluate(other, sieve, n), n).real
+        want = divisor_fold(ref, reference_evaluate(other, sieve, n), n).real
     else:
         want = divisor_fold(table.values, ot.values, n)
     assert got.tobytes() == want.tobytes()

@@ -31,6 +31,7 @@ from pretense.core import (
 from pretense.constructions import (
     archimedean_twist,
     dirichlet_character,
+    euler_phi,
     kronecker_character,
     optimality_twist,
     phase_sum_partials,
@@ -49,8 +50,11 @@ from oracles import (
     brute_liouville,
     brute_moebius,
     brute_primes,
+    period_evaluate,
     pk_rest_evaluate,
+    product_copy,
     real_at_prime_powers,
+    reference_evaluate,
     sum2_prefixes,
 )
 
@@ -186,11 +190,13 @@ def test_sieve_allocates_spf_primes_and_one_block():
         assert peak <= 4 * (limit + 1) + 8 * sv.primes.size + slack, (seg, block)
 
 
-# _TABLE_SPECS, a complex character, a twist that is real at 2 and 3 only, and
-# two specs tabulated to 1100: a random general multiplicative one, and one
-# that is real at every prime but has f(4) = i
+# _TABLE_SPECS, a complex character, tiled from its period, and a copy of it
+# without the period, filled by products, a twist that is real at 2 and 3
+# only, and two specs tabulated to 1100: a random general multiplicative one,
+# and one that is real at every prime but has f(4) = i
 _REFERENCE_SPECS = [spec for spec, _ in _TABLE_SPECS] + [
     dirichlet_character(7, 1),
+    product_copy(dirichlet_character(7, 1)),
     optimality_twist(dirichlet_character(4, 1), 0.5, diagnostics_cutoff=1100),
     random_spec(11, limit=1100, kind=GENERAL_MULTIPLICATIVE),
     tabulated_spec(
@@ -218,7 +224,7 @@ def test_evaluate_matches_the_pk_rest_fill(limit, data):
                 for n in (limit, sub, 1):
                     got = evaluate(spec, sv, n).values
                     assert got.dtype == _table_dtype(spec, n), (spec.name, n)
-                    want = pk_rest_evaluate(spec, sv, n, got.dtype)
+                    want = reference_evaluate(spec, sv, n, got.dtype)
                     assert got.tobytes() == want.tobytes(), (b, spec.name, n)
 
 
@@ -262,8 +268,82 @@ def test_evaluate_matches_the_pk_rest_fill_in_full_blocks():
     ]:
         got = evaluate(spec, sv).values
         assert got.dtype == _table_dtype(spec, limit), spec.name
-        assert got.tobytes() == pk_rest_evaluate(spec, sv, None, got.dtype).tobytes(), (
+        assert got.tobytes() == reference_evaluate(spec, sv, None, got.dtype).tobytes(), (
             spec.name)
+
+
+# every character mod 3..20, the principal ones included, the two with
+# period 1, and two Kronecker characters
+_PERIODIC_SPECS = [dirichlet_character(q, i) for q in range(3, 21) for i in range(euler_phi(q))] + [
+    dirichlet_character(1, 0), kronecker_character(1),
+    kronecker_character(-4), kronecker_character(5),
+]
+
+
+def test_tiled_tables_are_the_period_to_the_byte():
+    top = core.BLOCK + 1
+    sv = build_sieve(top)
+    for b in (1, 3, 64, core.BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "BLOCK", b)
+            for spec in _PERIODIC_SPECS:
+                q = spec.period.size
+                # below, at and past one and two periods, and at BLOCK edges
+                limits = {1, 2, q - 1, q, q + 1, 2 * q, 2 * q + 1, 7 * q + 3,
+                          b - 1, b, b + 1, 4 * b + 5, top}
+                for n in sorted(m for m in limits if 1 <= m <= top):
+                    got = evaluate(spec, sv, n).values
+                    # real exactly when f(p) is real at every prime p <= n
+                    ps = sv.primes[sv.primes <= n]
+                    real = not spec.period[ps % q].imag.any()
+                    assert got.dtype == (np.float64 if real else np.complex128), (spec.name, n)
+                    want = period_evaluate(spec, n, got.dtype)
+                    assert got.tobytes() == want.tobytes(), (b, spec.name, n)
+
+
+def test_tiled_evaluate_allocates_the_table_alone():
+    limit = 2 * 10**5
+    sv = build_sieve(limit)
+    for spec, itemsize in ((dirichlet_character(7, 1), 16), (kronecker_character(-4), 8)):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            values = evaluate(spec, sv).values
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert values.itemsize == itemsize
+        assert peak <= itemsize * (limit + 1) + 4096, spec.name
+    assert sv._cache == {}  # no cofactor array was built
+
+
+def test_a_period_is_checked_and_made_read_only():
+    def spec(period, kind=COMPLETELY_MULTIPLICATIVE, bounded=True):
+        return FunctionSpec(
+            name="p", kind=kind, prime_values=lambda ps: period[ps % period.size],
+            powers=None if kind == COMPLETELY_MULTIPLICATIVE else (lambda p, k: 0.0),
+            bounded_by_one=bounded, period=period)
+
+    real3 = np.array([0, 1, -1], dtype=np.complex128)
+    with pytest.raises(InvalidArgumentError, match="cannot take a period"):
+        spec(real3.copy(), kind=GENERAL_MULTIPLICATIVE)
+    for bad in (real3.real.copy(), real3[None].copy(), real3[:0].copy(), list(real3)):
+        with pytest.raises(InvalidArgumentError, match="1-d complex128"):
+            spec(bad)
+    big = real3.copy()
+    big[2] *= 1.0 + 2 * core.UNIT_DISC_TOL
+    with pytest.raises(InvalidArgumentError, match=r"claims \|f\| <= 1 .* \|f\(2\)\|"):
+        spec(big)
+    assert spec(big, bounded=False).value(5, 1) == big[2]
+    edge = real3.copy()
+    edge[2] *= 1.0 + core.UNIT_DISC_TOL / 2
+    assert spec(edge).value(2, 3) == edge[2]
+    period = real3.copy()
+    f = spec(period)
+    assert f.period is period and not period.flags.writeable
+    with pytest.raises(ValueError):
+        period[1] = 2.0
+    assert f.rule(2, 2) == f.value(2, 2) == 1.0 and f.value(5, 3) == -1.0
 
 
 def test_evaluate_holds_the_table_and_one_cofactor_array():
@@ -913,7 +993,7 @@ def _in_order_folds(table, x, y) -> list:
 
 def test_in_order_folds_do_not_depend_on_chunk_length(sieve_1e4):
     n = 3000
-    chi7 = evaluate(dirichlet_character(7, 1), sieve_1e4, n)
+    chi7 = evaluate(product_copy(dirichlet_character(7, 1)), sieve_1e4, n)
     mu = evaluate(standard_spec("moebius"), sieve_1e4, n)
     assert chi7.values.dtype == np.complex128 and mu.values.dtype == np.float64
     x = np.arange(1.0, n + 1)
