@@ -380,7 +380,7 @@ def _cmd_inverse(a) -> int:
     if capped_exponent(a.k) < 0:
         raise InvalidArgumentError(f"--k must be >= 0, got {a.k}")
     inv = dirichlet_inverse(parse_spec_arg(a.spec))
-    _dump_json([_local_json(p, [inv.value(p, j) for j in range(a.k + 1)])
+    _dump_json([_local_json(p, inv.local(p, a.k)[: a.k + 1])
                 for p in _parse_primes(a.primes)], a.out)
     return 0
 

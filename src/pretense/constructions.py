@@ -26,7 +26,6 @@ from .core import (
     build_sieve,
     checkpoint_positions,
     checkpointed_sums,
-    evaluate,
     prime_values_of,
 )
 from .errors import InvalidArgumentError, PretenseError, RuleError
@@ -158,8 +157,8 @@ def dirichlet_character(q: int, index: int) -> FunctionSpec:
     _unit_group, 2-part first, then odd primes in ascending order), the index
     digits c_i = (index // Π_{l<i} d_l) mod d_i fix χ(g_i) = e(c_i / d_i).
     Index 0 is the principal character.  Values are precomputed on a period,
-    the spec's one source of values, and construction verifies
-    multiplicativity against a dense product evaluation on [1, 3q].
+    the spec's one source of values, and construction checks that the
+    period is a character mod q (_verify_periodic_table).
     """
     q = int(q)
     index = int(index)
@@ -207,32 +206,36 @@ def dirichlet_character(q: int, index: int) -> FunctionSpec:
 def _periodic_spec(name: str, period: np.ndarray, params: dict) -> FunctionSpec:
     """The completely multiplicative spec whose every value comes from
     period, f(0), ..., f(q - 1), once _verify_periodic_table has checked
-    that the period is multiplicative."""
+    that the period is a character mod q."""
     q = period.size
-    spec = dict(
+    _verify_periodic_table(name, period)
+    return FunctionSpec(
         name=name,
         kind=COMPLETELY_MULTIPLICATIVE,
         prime_values=lambda ps: period[ps % q],
         bounded_by_one=True,
         params=params,
+        period=period,
     )
-    _verify_periodic_table(FunctionSpec(**spec), period)
-    return FunctionSpec(**spec, period=period)
 
 
-def _verify_periodic_table(spec: FunctionSpec, period: np.ndarray) -> None:
-    """Dense-evaluate spec, which has the prime map but not the period, by the
-    product fill on [1, 3q] and compare it against the tiled period.  The
-    spec and what it caches are thrown away afterwards."""
+def _verify_periodic_table(name: str, period: np.ndarray) -> None:
+    """Check that period P = f(0), ..., f(q - 1) is a character mod q:
+    P[1 mod q] = 1, P[n] = 0 exactly when gcd(n, q) > 1, and P[g·n mod q] =
+    P[g]·P[n] (to 1e-9) for each generator g of _unit_group(q) and every
+    n < q.  Every unit is a product of generators, so n ↦ P[n mod q] is then
+    completely multiplicative, and no entry goes unchecked."""
     q = period.size
-    hi = max(3 * q, 8)
-    dense = evaluate(spec, build_sieve(hi), hi).values
-    tiled = period[np.arange(hi + 1) % q]
-    if not np.allclose(dense[1:], tiled[1:], atol=1e-9):
-        n = 1 + int(np.argmax(np.abs(dense[1:] - tiled[1:]) > 1e-9))
-        raise PretenseError(
-            f"periodic table of {spec.name} disagrees with its rule at n={n}"
-        )
+    n = np.arange(q)
+    off = period == 0  # True at each n that breaks the rule: a zero unit,
+    for p, _ in _factorize(q):
+        off[::p] = period[::p] != 0  # a nonzero non-unit,
+    off[1 % q] |= abs(period[1 % q] - 1.0) > 1e-9  # f(1) != 1,
+    for g, _ in _unit_group(q):  # or f(g·n) != f(g)·f(n)
+        off |= np.abs(period[g * n % q] - period[g] * period) > 1e-9
+    if off.any():
+        raise PretenseError(f"periodic table of {name} is not a character mod {q}:"
+                            f" it disagrees with its rule at n={int(np.argmax(off))}")
 
 
 def kronecker_symbol(a: int, n: int) -> int:

@@ -31,11 +31,11 @@ the table and doubles the copied part until the table is full, so it needs
 neither the cofactor nor anything besides the table, and its values are
 the period's to the bit.
 
-A FunctionSpec computes each local quantity once and keeps it in its cache:
-f(p^k), the f(p) of its prime map, asked one prime at a time or in a batch
-(remember_primes), and the determinants D_f(·, p) of dirichlet and the
-recursion weights alpha(p) of degree.  The prime map must be elementwise, so
-a batch and a one-prime call give the same bits.
+A FunctionSpec keeps one store per prime, [f(p^0), ..., f(p^j)], filled in
+exponent order through one checked path; value, evaluate and every local
+recursion of dirichlet and degree read it.  f(p) enters it one prime at a
+time or from a checked batch of the elementwise prime map (remember_primes),
+with the same bits.
 
 Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
 Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
@@ -120,8 +120,8 @@ class FunctionSpec:
     on their number, so a batch gives each prime the bits of a call on that
     prime alone.  powers gives f(p^k) for k >= 2 and is None exactly for
     completely multiplicative kinds, where rule() gives f(p^k) =
-    f(p^{k-1})·f(p).  value() adds f(p^0) = 1, a cache and the unit-disc
-    check of bounded_by_one, and is where evaluate takes every f(p^k), k >= 2.
+    f(p^{k-1})·f(p).  powers may read the store of this or any other spec
+    through local(); the quotients and inverses of dirichlet read their own.
 
     period, when given, is f(0), ..., f(q - 1) of a completely multiplicative
     f of period q, as complex128 (Dirichlet and Kronecker characters set
@@ -130,9 +130,9 @@ class FunctionSpec:
     tiles it.  __post_init__ rejects it on any other kind, and under
     bounded_by_one an entry off the unit disc, and makes it read-only.
 
-    _cache holds what the spec computes once per prime: value()'s f(p^k),
-    the f(p) memo of rule() (filled one prime at a time or by
-    remember_primes), and the determinants D_f(·, p) and recursion weights
+    _cache holds, under the key p, the store [f(p^0), ..., f(p^j)] that
+    local() fills in exponent order, so value(p, k) fails where any lower
+    exponent fails; and the determinants D_f(·, p) and recursion weights
     alpha(p) that dirichlet and degree keep there.
     """
 
@@ -141,7 +141,6 @@ class FunctionSpec:
     prime_values: Callable[[np.ndarray], np.ndarray]
     powers: Optional[Callable[[int, int], complex]] = None
     bounded_by_one: bool = False
-    growth_delta: Optional[float] = None
     degree: Optional[int] = None
     constituents: Optional[tuple] = None
     params: Optional[dict] = None
@@ -175,61 +174,61 @@ class FunctionSpec:
         period.flags.writeable = False
 
     def rule(self, p: int, k: int) -> complex:
-        """f(p^k), k >= 1.  A periodic spec reads f(p^k), k >= 2, from its
-        period.  Other completely multiplicative powers multiply 1-element
-        arrays: numpy may fuse multiply-adds where Python won't, and tables
-        keep numpy's bits.
-        f(p) is memoized apart from value()'s cache, which holds only values
-        that passed the unit-disc check."""
+        """f(p^k), k >= 1, unchecked and not kept: f(p) from the prime map,
+        f(p^k), k >= 2, of a periodic spec from its period, and other
+        completely multiplicative powers f(p^{k-1})·f(p) from the store,
+        multiplying 1-element arrays (numpy may fuse multiply-adds where
+        Python won't, and tables keep numpy's bits)."""
         if k == 1:
-            got = self._cache.get(("prime", p))
-            if got is None:
-                got = complex(self.prime_values(np.array([p], dtype=np.int64))[0])
-                self._cache[("prime", p)] = got
-            return got
+            return complex(self.prime_values(np.array([p], dtype=np.int64))[0])
         if self.period is not None:
             return self.period[pow(p, k, self.period.size)]
         if self.powers is None:
-            return np.multiply([self.value(p, k - 1)], [self.value(p, 1)])[0]
+            c = self.local(p, k - 1)
+            return np.multiply([c[k - 1]], [c[1]])[0]
         return self.powers(p, k)
 
     def remember_primes(self, ps: np.ndarray) -> None:
-        """Fill rule()'s f(p) memo for the int64 array of primes ps from one
-        call of the prime map, with the bits of one call per prime, as the
-        map is elementwise.  Nothing is checked or raised here: if the map
-        fails or returns the wrong shape, nothing is stored, and rule() asks
-        the map one prime at a time and fails as it always has."""
+        """Store f(p) for the int64 array of primes ps from one checked batch
+        of the prime map (prime_values_of), with the bits of one call per
+        prime, as the map is elementwise.  If the batch fails, nothing is
+        stored, and value() asks the map one prime at a time and fails there."""
         try:
-            vals = np.asarray(self.prime_values(ps))
-            if vals.shape != ps.shape:
-                return
-            got = list(map(complex, vals.tolist()))
+            got = prime_values_of(self, ps).tolist()
         except Exception:
             return
-        self._cache.update(zip([("prime", p) for p in ps.tolist()], got))
+        for p, v in zip(ps.tolist(), got):
+            self._cache.setdefault(p, [1.0 + 0.0j, v])
+
+    def local(self, p: int, k: int) -> list:
+        """The store [f(p^0), ..., f(p^j)], j >= k, filled in exponent order
+        by rule() behind the RuleError wrap and the unit-disc check of
+        bounded_by_one.  Callers read it and never change it."""
+        c = self._cache.get(p)
+        if c is None:
+            c = self._cache[p] = [1.0 + 0.0j]
+        while len(c) <= k:
+            j = len(c)
+            try:
+                v = complex(self.rule(p, j))
+            except PretenseError:
+                raise
+            except Exception as exc:
+                raise RuleError(
+                    f"rule of spec {self.name!r} failed at (p={p}, k={j}): {exc}"
+                ) from exc
+            if self.bounded_by_one and abs(v) > 1.0 + UNIT_DISC_TOL:
+                raise InvalidArgumentError(
+                    f"spec {self.name!r} claims |f| <= 1 but |f({p}^{j})| = {abs(v)}"
+                )
+            c.append(v)
+        return c
 
     def value(self, p: int, k: int) -> complex:
-        cached = self._cache.get((p, k))
-        if cached is not None:
-            return cached
-        if k == 0:
-            return 1.0 + 0.0j
+        """f(p^k), k >= 0, read from the store."""
         if k < 0:
             raise InvalidArgumentError(f"negative exponent k={k}")
-        try:
-            v = complex(self.rule(p, k))
-        except PretenseError:
-            raise
-        except Exception as exc:
-            raise RuleError(
-                f"rule of spec {self.name!r} failed at (p={p}, k={k}): {exc}"
-            ) from exc
-        if self.bounded_by_one and abs(v) > 1.0 + UNIT_DISC_TOL:
-            raise InvalidArgumentError(
-                f"spec {self.name!r} claims |f| <= 1 but |f({p}^{k})| = {abs(v)}"
-            )
-        self._cache[(p, k)] = v
-        return v
+        return self.local(p, k)[k]
 
 
 @dataclass(frozen=True)
@@ -456,10 +455,10 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
 
     Every other spec is filled from its prime-power values.  Every f(p^k),
     k >= 2, comes from spec.value, and primes from the prime map, BLOCK
-    primes at a time.  The f(p) of the primes p ≤ √limit are first
-    remembered from one call of the map (remember_primes), so the powers of
-    a completely multiplicative spec, and a later lazy solve that reads this
-    spec, need no call of the map per prime.  The dtype is chosen before the
+    primes at a time.  The f(p) of the primes p ≤ √limit first enter the
+    spec's store from one call of the map (remember_primes), so value(),
+    which computes f(p) before f(p^2), and a later solve that reads this
+    spec need no call of the map per prime.  The dtype is chosen before the
     table exists: the powers first, then the prime map chunk by chunk up to
     the first chunk that is not real.  The table is filled from a second
     read of the prime map, so no prime value is held.  Every other n is the

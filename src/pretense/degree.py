@@ -7,8 +7,9 @@ symmetric values r_k of the same arguments (recovered from the q_k alone by
 a unit-triangular solve) furnish a linear recursion of depth d that the
 prime-power values must satisfy; its residual is the membership check, and
 the quotient determinants of any two degree-d functions vanish beyond d.
-The recursion weights alpha(p) are computed once per (spec, p) and kept, as
-read-only arrays, in the spec's cache (see FunctionSpec).
+Prime-power values are read from each spec's store per prime (FunctionSpec.
+local); the recursion weights alpha(p) are kept, as read-only arrays, in the
+spec's cache.
 """
 
 from __future__ import annotations
@@ -120,14 +121,6 @@ def degree_d_spec(constituents: Sequence[FunctionSpec]) -> FunctionSpec:
                 f"constituent {c.name!r} does not claim the unit disc"
             )
 
-    cache: dict = {}
-
-    def args_at(p: int):
-        got = cache.get(p)
-        if got is None:
-            got = cache[p] = np.array([c.value(p, 1) for c in cs])
-        return got
-
     def prime_values(ps):
         out = np.zeros(ps.shape, dtype=np.complex128)
         for c in cs:
@@ -144,7 +137,7 @@ def degree_d_spec(constituents: Sequence[FunctionSpec]) -> FunctionSpec:
         name=f"deg{d}({','.join(c.name for c in cs)})",
         kind=DEGREE_D_COMPOSITE,
         prime_values=prime_values,
-        powers=lambda p, k: q_poly(k, args_at(int(p))),
+        powers=lambda p, k: q_poly(k, np.array([c.value(p, 1) for c in cs])),
         bounded_by_one=(d == 1),
         degree=d,
         constituents=cs,
@@ -169,7 +162,7 @@ def alpha_coeffs(f: FunctionSpec, p: int) -> SymmetricCoeffs:
         return got
     if not is_prime(p):
         raise InvalidArgumentError(f"{p} is not prime")
-    q = np.array([f.value(p, k) for k in range(1, d + 1)])
+    q = np.array(f.local(p, d)[1 : d + 1])
     r = q_to_r(q)
     alpha = np.concatenate(([1.0 + 0.0j], r))
     for a in (q, r, alpha):
@@ -188,9 +181,10 @@ def recursion_residual(f: FunctionSpec, p: int, n: int) -> float:
     if n < 0:
         raise InvalidArgumentError("n must be >= 0")
     alpha = alpha_coeffs(f, p).alpha
+    fs = f.local(p, n + d)
     acc = 0.0 + 0.0j
     for k in range(d + 1):
-        acc += (-1.0) ** k * alpha[k] * f.value(p, n + d - k)
+        acc += (-1.0) ** k * alpha[k] * fs[n + d - k]
     return float(abs(acc))
 
 
@@ -281,8 +275,8 @@ def degreedist_extension_check(
             fq = q_all(kmax, [c.value(p, 1) for c in f.constituents])
             gq = q_all(kmax, [c.value(p, 1) for c in g.constituents])
         else:
-            fq = np.array([f.value(p, k) for k in range(kmax + 1)])
-            gq = np.array([g.value(p, k) for k in range(kmax + 1)])
+            fq = np.array(f.local(p, kmax)[: kmax + 1])
+            gq = np.array(g.local(p, kmax)[: kmax + 1])
         w = np.abs(fq - gq) / float(p) ** (beta * np.arange(kmax + 1))
         head = float(np.sum(w[1 : d + 1]))
         tail = float(np.sum(w[d + 1 :]))

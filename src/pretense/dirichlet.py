@@ -11,10 +11,10 @@ same solve against the convolution identity δ.  The determinant route expresses
 the same coefficients through Toeplitz-Hessenberg determinants D_f(k, p): both
 paths are kept separate so they can check each other.
 
-Each local quantity is computed once per spec and kept in its cache (see
-FunctionSpec): solve_quotient takes the quotient's f(p) on its primes from
-one batch of the elementwise prime map, and D_f(0..k, p) are kept per (f, p)
-and extended when a higher order is asked, with the same bits.
+Every recursion reads f(p^0), ..., f(p^K) from the spec's store per prime
+(FunctionSpec.local); a quotient's or an inverse's powers solve its next
+exponent from its own store.  D_f(0..k, p) are kept per (f, p) and extended
+when a higher order is asked, with the same bits.
 """
 
 from __future__ import annotations
@@ -93,37 +93,6 @@ def capped_exponent(k: int) -> int:
     return k
 
 
-def _lazy_local_solver(update):
-    """Shared per-prime forward substitution with a growable coefficient cache.
-
-    update(p, coeffs, m) must return the next coefficient c_m given c_0..c_{m-1}.
-    """
-    cache: dict = {}
-
-    def rule(p: int, k: int) -> complex:
-        c = cache.get(p)
-        if c is None:
-            c = [1.0 + 0.0j]
-            cache[p] = c
-        while len(c) <= k:
-            c.append(update(p, c, len(c)))
-        return c[k]
-
-    return rule
-
-
-def quotient_rule(f: FunctionSpec, g: FunctionSpec):
-    """Lazy rule computing h(p^k) with g = f ∗ h, any prime, cached."""
-
-    def update(p, c, m):
-        acc = complex(g.value(p, m))
-        for j in range(m):
-            acc -= f.value(p, m - j) * c[j]
-        return acc
-
-    return _lazy_local_solver(update)
-
-
 @dataclass(frozen=True)
 class QuotientSpec:
     """The multiplicative h with g = f ∗ h, plus its precomputed local table."""
@@ -147,9 +116,9 @@ def solve_quotient(
 ) -> QuotientSpec:
     """Solve g = f ∗ h for h on the given primes up to p^max_exponent.
 
-    The returned spec's rule is not restricted to `primes`: it keeps solving
-    the same triangular system lazily for any prime power it is asked for,
-    which is what dense evaluation of h needs.
+    The returned spec is not restricted to `primes`: its powers solve
+    h(p^m) = g(p^m) − Σ_{j<m} f(p^{m−j}) h(p^j) at any prime, from its own
+    store, which is what dense evaluation of h needs.
     """
     plist = sorted({int(p) for p in primes})
     if not plist:
@@ -161,20 +130,28 @@ def solve_quotient(
     if K < 1:
         raise InvalidArgumentError(f"max exponent must be >= 1, got {K}")
 
+    def powers(p, m):
+        fs, h = f.local(p, m), spec.local(p, m - 1)
+        acc = g.value(p, m)
+        for j in range(m):
+            acc -= fs[m - j] * h[j]
+        return acc
+
     spec = FunctionSpec(
         name=f"({g.name}/{f.name})",
         kind=GENERAL_MULTIPLICATIVE,
         prime_values=lambda ps: prime_values_of(g, ps) - prime_values_of(f, ps),
-        powers=quotient_rule(f, g),
+        powers=powers,
     )
     spec.remember_primes(np.array(plist, dtype=np.int64))
     local = []
     for p in plist:
-        coeffs = [spec.value(p, k) for k in range(K + 1)]
+        coeffs = spec.local(p, K)[: K + 1]
+        fs, gs = f.local(p, K), g.local(p, K)
         # reconvolve as a guard: the forward solve must reproduce g exactly
         for k in range(1, K + 1):
-            acc = sum(f.value(p, k - j) * coeffs[j] for j in range(k + 1))
-            if abs(acc - g.value(p, k)) > RECONVOLUTION_TOL * max(1.0, abs(acc)):
+            acc = sum(fs[k - j] * coeffs[j] for j in range(k + 1))
+            if abs(acc - gs[k]) > RECONVOLUTION_TOL * max(1.0, abs(acc)):
                 raise PretenseError(
                     f"quotient solve inconsistent at p={p}, k={k}"
                 )
@@ -195,25 +172,28 @@ def dirichlet_inverse(h: FunctionSpec) -> FunctionSpec:
     Well defined because every FunctionSpec has value(p, 0) = 1, i.e. h(1) = 1.
     """
 
-    def update(p, c, m):
+    def powers(p, m):
+        hs, c = h.local(p, m), inv.local(p, m - 1)
         acc = 0.0 + 0.0j
         for j in range(m):
-            acc -= h.value(p, m - j) * c[j]
+            acc -= hs[m - j] * c[j]
         return acc
 
-    return FunctionSpec(
+    inv = FunctionSpec(
         name=f"inv({h.name})",
         kind=GENERAL_MULTIPLICATIVE,
         prime_values=lambda ps: -prime_values_of(h, ps),
-        powers=_lazy_local_solver(update),
+        powers=powers,
     )
+    return inv
 
 
 def convolve_spec(f: FunctionSpec, h: FunctionSpec) -> FunctionSpec:
     """Rule-level Dirichlet convolution, (f ∗ h)(p^k) = Σ_j f(p^j) h(p^{k−j})."""
 
     def powers(p, k):
-        return sum(f.value(p, j) * h.value(p, k - j) for j in range(k + 1))
+        fs, hs = f.local(p, k), h.local(p, k)
+        return sum(fs[j] * hs[k - j] for j in range(k + 1))
 
     return FunctionSpec(
         name=f"({f.name} * {h.name})",
@@ -272,7 +252,7 @@ def _determinants(f: FunctionSpec, p: int, k: int) -> list:
         )
     d = f._cache.setdefault(("det", p), [1.0 + 0.0j])
     if len(d) <= k:
-        t = [f.value(p, j) for j in range(k + 1)]
+        t = f.local(p, k)
         for m in range(len(d), k + 1):
             acc = 0.0 + 0.0j
             sign = 1.0
@@ -312,9 +292,10 @@ def h_via_determinant(f: FunctionSpec, g: FunctionSpec, p: int, n: int) -> compl
     if n < 1:
         raise InvalidArgumentError(f"exponent must be >= 1, got {n}")
     dets = _determinants(f, p, n - 1)
+    fs, gs = f.local(p, n), g.local(p, n)
     acc = 0.0 + 0.0j
     sign = 1.0
     for k in range(n):
-        acc += sign * (g.value(p, n - k) - f.value(p, n - k)) * dets[k]
+        acc += sign * (gs[n - k] - fs[n - k]) * dets[k]
         sign = -sign
     return acc

@@ -22,6 +22,7 @@ from .core import (
     COMPLETELY_MULTIPLICATIVE,
     FunctionSpec,
     SEQUENTIAL,
+    UNIT_DISC_TOL,
     SieveIndex,
     ValueTable,
     build_sieve,
@@ -38,7 +39,6 @@ PLATEAU_SLOPE = 0.01
 VERDICT_PLATEAU = "plateau (consistent with convergence)"
 VERDICT_GROWING = "growing"
 DEFAULT_TRUNCATION = 40
-UNIT_DISC_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def _series_report(kind, params, ps, terms, cutoff, checkpoints, mode, threads):
 
 
 def _require_unit_disc(label: str, spec: FunctionSpec, ps, vals) -> None:
-    bad = np.abs(vals) > 1.0 + UNIT_DISC_SLACK
+    bad = np.abs(vals) > 1.0 + UNIT_DISC_TOL
     if np.any(bad):
         p = int(ps[np.argmax(bad)])
         raise InvalidArgumentError(
@@ -248,6 +248,9 @@ def distance_strong(
     )
     if both_cm:
         fpows, gpows = _cm_powers(f, ps, fp, k), _cm_powers(g, ps, gp, k)
+    elif k > 1:  # value(p, j) computes f(p) first: store it from one batch
+        f.remember_primes(ps)
+        g.remember_primes(ps)
     # p^{jβ} may overflow to inf, which makes its finite term 0
     with np.errstate(over="ignore"):
         terms = np.abs(fp - gp) / pf**beta
@@ -309,7 +312,8 @@ def _truncated_local_report(
     tail_total = 0.0
     for p in ps:
         p = int(p)
-        tk = [_local_term(abs(h.value(p, k)) ** power, p, k * sigma)
+        hs = h.local(p, K)
+        tk = [_local_term(abs(hs[k]) ** power, p, k * sigma)
               for k in range(k_start, K + 1)]
         inner = float(sum(tk))
         t_last, t_prev = tk[-1], tk[-2]

@@ -144,6 +144,63 @@ def brute_quotient_local(f_coeffs, g_coeffs):
     return h
 
 
+def plain_powers(f, p: int, K: int) -> list:
+    """[f(p^0), ..., f(p^K)] from f's unchecked rule, one call per exponent,
+    bypassing the spec's store."""
+    return [1.0 + 0.0j] + [complex(f.rule(p, k)) for k in range(1, K + 1)]
+
+
+def plain_solve(f: list, g, K: int) -> list:
+    """h(p^0..p^K) with g = f ∗ h at one prime, from plain lists, in the
+    library's order of operations: h(p) = g(p) − f(p), as the quotient's
+    prime map forms it, then h[m] = g[m] − f[m]·h[0] − ... − f[1]·h[m−1]
+    from the left.  g = None solves against δ, the Dirichlet inverse, whose
+    prime map negates f(p)."""
+    h = [1.0 + 0.0j, -f[1] if g is None else g[1] - f[1]]
+    for m in range(2, K + 1):
+        acc = 0.0 + 0.0j if g is None else g[m]
+        for j in range(m):
+            acc -= f[m - j] * h[j]
+        h.append(acc)
+    return h
+
+
+def plain_convolve(f: list, h: list, K: int) -> list:
+    """(f ∗ h)(p^0..p^K) from plain lists: f(p) + h(p), as the prime map
+    forms it, then Σ_j f[j]·h[k−j] with j ascending."""
+    return [1.0 + 0.0j, f[1] + h[1]] + [
+        sum(f[j] * h[k - j] for j in range(k + 1)) for k in range(2, K + 1)]
+
+
+def plain_h_via_determinant(f: list, g: list, n: int) -> complex:
+    """h(p^n) = Σ_k (−1)^k (g[n−k] − f[n−k]) D_k, with D_m = Σ_{j≤m}
+    (−1)^{j−1} f[j] D_{m−j} recomputed from the lists."""
+    d = [1.0 + 0.0j]
+    for m in range(1, n):
+        acc, sign = 0.0 + 0.0j, 1.0
+        for j in range(1, m + 1):
+            acc += sign * f[j] * d[m - j]
+            sign = -sign
+        d.append(acc)
+    acc, sign = 0.0 + 0.0j, 1.0
+    for k in range(n):
+        acc += sign * (g[n - k] - f[n - k]) * d[k]
+        sign = -sign
+    return acc
+
+
+def plain_degree_d(xs: list, K: int) -> list:
+    """q_0..q_K of the constituent prime values xs: q_1 is their sum from
+    the left, as the prime map forms it, and q_k, k >= 2, comes from one
+    pass per variable, q_k += x·q_{k−1}."""
+    q = [1.0 + 0.0j] + [0j] * K
+    for x in xs:
+        for k in range(1, K + 1):
+            q[k] += x * q[k - 1]
+    q[1] = sum(xs, 0j)
+    return q
+
+
 def determinant_dense(f, p: int, k: int) -> complex:
     """D_f(k, p) as numpy's determinant of the k×k matrix a_ij = f(p^{i−j+1}),
     zero where i − j + 1 < 0: the direct O(k³) route beside the library's

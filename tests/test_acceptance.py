@@ -18,10 +18,12 @@ The negative controls at the end show that each corrected check rejects
 functions it must reject.
 """
 
+import hashlib
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from conftest import cli_env, record_acceptance
 
@@ -171,6 +173,29 @@ def test_criterion_13_thread_count_determinism(tmp_path):
         "byte-identical" if same else "outputs differ between thread counts",
     )
     assert same
+
+
+# sha256 of each `pretense verify B` stdout at seed 1729: its rows and the
+# summary line.  Any change to a printed figure, bit or word moves a pin.
+_VERIFY_STDOUT_SHA256 = {
+    "counterexample": "32cc0d4748a05b2d4654b45d9246a5ef9cca316f861bf5672b2e565a2db23539",
+    "remark1": "a76a55a83decdf3efc4399b2c3fd88e9c74352b974b94e265cfe556abc08f532",
+    "squarefree": "daf9cb55bfe555fe7b3d3915bf8862148c7626d5da26e995ba39e55ad1f5b1c0",
+    "thm1": "1c582bb49635094ad96e7e09fc4efe6c100e4759a510eb66726f14bc4a20668c",
+    "thm2": "035d273ed6d5cc94ebde86c3d047585498187f1c27d4bb73f73f1bcfaaaf21dc",
+    "thm3": "655a5267237f1e874c21d47a219243c455be740ee812f1ad88702764b07fa331",
+    "thm4": "a43d88688013ce5259d8fd0a5845682a0c8ec8a3369da8f504bc519623f2814b",
+}
+
+
+@pytest.mark.parametrize("bundle", sorted(_VERIFY_STDOUT_SHA256))
+def test_verify_stdout_bytes_are_pinned(bundle, bundle_results):
+    # the rows the criteria above read, printed as `pretense verify` prints them
+    rows, _ = bundle_results(bundle)
+    n_pass = sum(r.passed for r in rows)
+    text = "".join(r.row() + "\n" for r in rows)
+    text += f"{bundle}: {n_pass}/{len(rows)} checks passed\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == _VERIFY_STDOUT_SHA256[bundle]
 
 
 def test_partial_sum_modes_bitwise_identical(sieve_1e6):

@@ -146,8 +146,8 @@ def test_character_against_kronecker(sieve_1e4):
 
 
 def test_a_corrupted_period_fails_at_construction():
-    # the construction check compares the product fill of a copy without the
-    # period with the tiled period, and leaves nothing in the spec's cache
+    # the construction checks that the period is a character mod q, and
+    # leaves nothing in the spec's cache
     for build, units in ((lambda: dirichlet_character(7, 1), range(1, 7)),
                          (lambda: kronecker_character(5), range(1, 5))):
         good = build()
@@ -160,6 +160,40 @@ def test_a_corrupted_period_fails_at_construction():
             bad[r] *= np.exp(0.25j)  # still on the unit circle
             with pytest.raises(PretenseError, match="disagrees with its rule"):
                 constructions._periodic_spec(name, bad, params)
+
+
+@pytest.mark.parametrize("q, r", [(6, 5), (18, 11)])
+def test_a_corruption_whose_class_holds_only_small_primes_fails(q, r):
+    # 5, 11, 17 = 5 mod 6 and 11, 29, 47 = 11 mod 18 are prime, so a product
+    # fill on [1, 3q] reads the corrupted f(r) at every n = r mod q there
+    for index in range(euler_phi(q)):
+        good = dirichlet_character(q, index)
+        bad = good.period.copy()
+        bad[r] *= np.exp(0.5j)
+        with pytest.raises(PretenseError, match="disagrees with its rule"):
+            constructions._periodic_spec(good.name, bad, good.params)
+
+
+def test_the_period_check_accepts_every_character_and_catches_every_corruption():
+    for q in range(1, 41):
+        for index in range(euler_phi(q)):
+            good = dirichlet_character(q, index)
+            if q < 3:
+                continue
+            for r in np.flatnonzero(good.period).tolist():
+                bad = good.period.copy()
+                bad[r] *= np.exp(0.5j)
+                with pytest.raises(PretenseError, match="disagrees with its rule"):
+                    constructions._periodic_spec(good.name, bad, good.params)
+    for D in (1, -3, -4, 5, -7, 8, -8, 12, 13, -15, -20, 21, 24, -24, 28):
+        kronecker_character(D)
+    # a nonzero entry off the units, and a zero on one, fail too
+    chi = dirichlet_character(9, 1)
+    for r, v in ((3, 1.0), (2, 0.0)):
+        bad = chi.period.copy()
+        bad[r] = v
+        with pytest.raises(PretenseError, match=f"disagrees with its rule at n={r}$"):
+            constructions._periodic_spec(chi.name, bad, chi.params)
 
 
 @pytest.mark.parametrize("q", [7, 11, 13])
@@ -536,12 +570,16 @@ def _fresh(spec):
 
 def _batch_mismatches(spec, ps):
     """Primes where the f(p) that remember_primes stores for a fresh copy of
-    spec differs in any bit from rule(p, 1) of another fresh copy."""
+    spec, read by value(p, 1), differs in any bit from rule(p, 1) of another
+    fresh copy, or where the batch stored nothing."""
     batched, single = _fresh(spec), _fresh(spec)
     batched.remember_primes(ps)
     bad = []
     for p in ps.tolist():
-        got, want = batched._cache[("prime", p)], single.rule(p, 1)
+        if len(batched.local(p, 0)) < 2:  # the batch stored no f(p)
+            bad.append(p)
+            continue
+        got, want = batched.value(p, 1), single.rule(p, 1)
         if struct.pack("<dd", got.real, got.imag) != struct.pack("<dd", want.real, want.imag):
             bad.append(p)
     return bad

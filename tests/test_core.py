@@ -460,23 +460,30 @@ def test_spec_powers_given_exactly_when_not_completely_multiplicative():
     assert half.rule(3, 1) == 0.5 and half.rule(3, 4) == 0.0625
 
 
-def test_rule_memoizes_the_prime_map():
+def test_value_runs_the_prime_map_once_per_prime():
     calls = []
 
     def prime_values(ps):
         calls.append(ps.tolist())
-        return np.full(ps.shape, 2.0)
+        return np.full(ps.shape, 0.5)
 
-    spec = FunctionSpec(name="big", kind=COMPLETELY_MULTIPLICATIVE,
+    spec = FunctionSpec(name="half", kind=COMPLETELY_MULTIPLICATIVE,
                         prime_values=prime_values, bounded_by_one=True)
-    assert spec.rule(5, 1) == spec.rule(5, 1) == 2.0
-    assert type(spec.rule(5, 1)) is complex
-    assert calls == [[5]]
-    # value() still checks what the memo holds
+    assert spec.value(5, 1) == spec.value(5, 1) == 0.5
+    assert type(spec.value(5, 1)) is complex
+    assert spec.value(5, 3) == 0.125 and spec.value(7, 2) == 0.25
+    assert calls == [[5], [7]]
+    # rule() keeps nothing: each call asks the map again
+    assert spec.rule(5, 1) == 0.5
+    assert calls == [[5], [7], [5]]
+
+    # a value off the unit disc is not stored, so value() checks it again
+    big = FunctionSpec(name="big", kind=COMPLETELY_MULTIPLICATIVE,
+                       prime_values=lambda ps: np.full(ps.shape, 2.0),
+                       bounded_by_one=True)
     for _ in range(2):
         with pytest.raises(InvalidArgumentError):
-            spec.value(5, 1)
-    assert calls == [[5]]
+            big.value(5, 1)
 
 
 def test_value_at_exponent_zero_is_one():

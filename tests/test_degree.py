@@ -24,7 +24,9 @@ from pretense.randspecs import random_spec
 from oracles import (
     brute_complete_homogeneous,
     brute_elementary_symmetric,
+    brute_primes,
     growth_delta_check,
+    plain_degree_d,
 )
 
 complex_unit = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
@@ -187,3 +189,14 @@ def test_cached_alpha_arrays_are_read_only():
     for a in (coeffs.q, coeffs.r, coeffs.alpha):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+@pytest.mark.parametrize("seeds", [(61, 62), (63, 64, 65)])
+def test_degree_d_values_match_plain_lists_to_the_bit(seeds):
+    K = 12
+    members = [random_spec(s, limit=100) for s in seeds]
+    f = degree_d_spec(members)
+    for p in brute_primes(97):
+        want = plain_degree_d([complex(c.rule(p, 1)) for c in members], K)
+        got = [f.value(p, k) for k in range(K, -1, -1)][::-1]
+        assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -30,6 +30,10 @@ from oracles import (
     determinant_bound_check,
     determinant_dense,
     divisor_fold,
+    plain_convolve,
+    plain_h_via_determinant,
+    plain_powers,
+    plain_solve,
 )
 
 
@@ -335,7 +339,7 @@ def test_batch_fallback_keeps_the_untabulated_prime_error():
     gap = tabulated_spec({(2, 1): 0.5, (3, 1): -1.0, (7, 1): 0.25}, name="gap",
                          kind=COMPLETELY_MULTIPLICATIVE)
     gap.remember_primes(np.array([2, 3, 5, 7], dtype=np.int64))
-    assert not any(key[0] == "prime" for key in gap._cache)  # nothing stored
+    assert gap._cache == {}  # nothing stored
     with pytest.raises(RuleError) as exc:
         evaluate(gap, build_sieve(100))
     assert str(exc.value) == "gap is not tabulated at p=5"
@@ -352,10 +356,60 @@ def test_batch_fallback_keeps_the_unit_disc_errors():
     with pytest.raises(InvalidArgumentError) as exc:
         solve_quotient(standard_spec("one"), big(), [2, 3, 5], 4)
     assert str(exc.value) == "spec 'big' claims |f| <= 1 but |f(3)| > 1"
-    # a batch of the unchecked map is stored, and value() still checks f(3)
+    # the checked batch stores nothing, and value() checks f(3) alone
     with pytest.raises(InvalidArgumentError) as exc:
         evaluate(big(), build_sieve(30))
     assert str(exc.value) == "spec 'big' claims |f| <= 1 but |f(3^1)| = 2.0"
     with pytest.raises(InvalidArgumentError) as exc:
         evaluate(big(), build_sieve(7))
     assert str(exc.value) == "spec 'big' claims |f| <= 1 but |f(3)| > 1"
+
+
+_PRIMES_TO_97 = brute_primes(97)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_local_recursions_match_plain_lists_to_the_bit(seed):
+    # every recursion reads the spec's store; a plain-list recurrence in the
+    # same order of operations, fed by the unchecked rules, gives the bits
+    K = 12
+    f = random_spec(2 * seed, limit=100, kind="general-multiplicative")
+    g = random_spec(2 * seed + 1, limit=100, kind="general-multiplicative")
+    q = solve_quotient(f, g, _PRIMES_TO_97, K)
+    inv, conv = dirichlet_inverse(q.spec), convolve_spec(f, g)
+    for p in _PRIMES_TO_97:
+        fl, gl = plain_powers(f, p, K), plain_powers(g, p, K)
+        h = plain_solve(fl, gl, K)
+        assert _bits(q.local_series(p).coeffs) == _bits(h)
+        inv.value(p, K)  # the top exponent first: lower ones fill in order
+        assert _bits(inv.local(p, K)[: K + 1]) == _bits(plain_solve(h, None, K))
+        assert _bits([conv.value(p, k) for k in range(K + 1)]) == _bits(
+            plain_convolve(fl, gl, K))
+        assert _bits([h_via_determinant(f, g, p, n) for n in range(1, K + 1)]) == _bits(
+            [plain_h_via_determinant(fl, gl, n) for n in range(1, K + 1)])
+
+
+def test_a_gap_in_the_exponents_fails_at_every_higher_one():
+    gap = tabulated_spec({(2, 1): 0.5, (2, 3): 0.125}, name="gap",
+                         kind="general-multiplicative")
+    for _ in range(2):
+        with pytest.raises(RuleError, match=r"\(p=2, k=2\)"):
+            gap.value(2, 3)
+    assert gap.value(2, 1) == 0.5
+
+
+def test_a_batch_off_the_unit_disc_stores_nothing():
+    big = tabulated_spec({(p, 1): 2.0 if p == 3 else 0.5 for p in (2, 3, 5, 7)},
+                         name="big", kind=COMPLETELY_MULTIPLICATIVE,
+                         bounded_by_one=True)
+    big.remember_primes(np.array([2, 3, 5, 7], dtype=np.int64))
+    assert big._cache == {}  # nothing stored
+    assert big.value(2, 1) == 0.5
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError) as exc:
+            big.value(3, 1)
+        assert str(exc.value) == "spec 'big' claims |f| <= 1 but |f(3^1)| = 2.0"
