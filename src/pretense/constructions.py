@@ -23,10 +23,9 @@ from .core import (
     PartialSumSeries,
     SEQUENTIAL,
     SieveIndex,
-    build_sieve,
-    checkpoint_positions,
-    checkpointed_sums,
+    prime_sums,
     prime_values_of,
+    sieve_primes,
 )
 from .errors import InvalidArgumentError, PretenseError, RuleError
 from .randspecs import prime_table, random_pair_sparse_diff, random_spec
@@ -375,9 +374,10 @@ def twist_sign_rule(f: FunctionSpec, cutoff: int, sieve: Optional[SieveIndex] = 
     part, ω_p = sign(Re f(p)).  sign(0) = +1 throughout.  Returns
     (rule_name, diagnostic_value).
     """
-    if sieve is None:
-        sieve = build_sieve(int(cutoff))
-    ps = sieve.primes[(sieve.primes >= 5) & (sieve.primes <= cutoff)]
+    return _sign_rule(f, sieve_primes(cutoff, sieve, least=5))
+
+
+def _sign_rule(f: FunctionSpec, ps: np.ndarray):
     fp = prime_values_of(f, ps)
     diag = float(np.sum(np.abs(fp.imag) / (ps * _loglog(ps))))
     if diag >= SIGN_RULE_THRESHOLD:
@@ -460,16 +460,15 @@ def phase_sum_partials(
         raise InvalidArgumentError("phase sums need a completely multiplicative f")
     if not f.bounded_by_one:
         raise InvalidArgumentError("phase sums need a unit-disc f")
-    x, _ = checkpoint_positions(checkpoints, cutoff, "cutoff")
-    if sieve is None:
-        sieve = build_sieve(int(cutoff))
-    rule_name, _ = twist_sign_rule(f, cutoff, sieve=sieve)
-    ps = sieve.primes[(sieve.primes >= 5) & (sieve.primes <= cutoff)]
-    fp = prime_values_of(f, ps)
-    om = _omega_values(rule_name, fp)
-    terms = 1j * om * fp / (ps.astype(np.float64) ** tau * _loglog(ps))
-    positions = np.searchsorted(ps, x, side="right")
-    sums = checkpointed_sums(terms, positions, mode=SEQUENTIAL)
+    ps = sieve_primes(cutoff, sieve, least=5)
+    rule_name, _ = _sign_rule(f, ps)
+
+    def terms_of(ps):
+        fp = prime_values_of(f, ps)
+        om = _omega_values(rule_name, fp)
+        return 1j * om * fp / (ps.astype(np.float64) ** tau * _loglog(ps))
+
+    x, sums = prime_sums(terms_of, ps, cutoff, checkpoints)
     return PartialSumSeries(checkpoints=x, sums=sums, summation_mode=SEQUENTIAL)
 
 

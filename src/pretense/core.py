@@ -10,6 +10,8 @@ FunctionSpec.  Everything downstream works from its prime map and powers:
     value_chunks(table, N)  views of f(1), ..., f(N), BLOCK values at a time:
                             the one reader of a table in order of n, the source
                             that an evaluation by blocks would replace
+    sieve_primes(x, sieve)  the primes p ≤ x; prime_sums(f, ps, x) folds terms
+                            over them BLOCK at a time: the one reader of primes
     partial_sums(table, x)  S_f(x) = Σ_{n ≤ x} f(n) at checkpoints
     mean_square_sum         Σ_{n ≤ x} |f(n)|²
     csv_chunks              CSV text of (x, f) rows, one chunk per BLOCK rows
@@ -611,6 +613,28 @@ def value_chunks(table: ValueTable, N: int):
     """Yield (a, v) from a = 1: v views f(a), ..., f(min(a + BLOCK, N + 1) - 1)."""
     for a in range(1, N + 1, BLOCK):
         yield a, table.values[a : min(a + BLOCK, N + 1)]
+
+
+def sieve_primes(cutoff, sieve: Optional[SieveIndex] = None, least: int = 2):
+    """The primes least ≤ p ≤ cutoff, a view of sieve.primes, or of a sieve
+    built when none is given; int keys, as a float one casts the whole list."""
+    top = int(cutoff)
+    if sieve is None:
+        sieve = build_sieve(top)
+    elif sieve.limit < top:
+        raise InvalidArgumentError(f"cutoff {cutoff} beyond sieve limit {sieve.limit}")
+    return sieve.primes[np.searchsorted(sieve.primes, least) :
+                        np.searchsorted(sieve.primes, top, side="right")]
+
+
+def prime_sums(terms_of, ps, cutoff, checkpoints=None, mode=SEQUENTIAL, threads=None):
+    """(x, S): checkpoints x in [1, cutoff] and the Sum2 prefixes S(x) of the
+    terms that the elementwise terms_of gives for each slice of at most BLOCK
+    of the primes ps of sieve_primes, with the bits of one whole array."""
+    x, floors = checkpoint_positions(checkpoints, cutoff, "cutoff")
+    terms = (terms_of(ps[a : a + BLOCK]) for a in range(0, ps.size, BLOCK))
+    positions = np.searchsorted(ps, floors, side="right")
+    return x, checkpointed_sums(terms, positions, mode=mode, threads=threads)
 
 
 def checkpoint_positions(checkpoints, limit, what: str = "table limit"):

@@ -25,7 +25,7 @@ from .core import (
     GENERAL_MULTIPLICATIVE,
     FunctionSpec,
     SieveIndex,
-    build_sieve,
+    sieve_primes,
 )
 from .dirichlet import is_prime
 from .errors import InvalidArgumentError
@@ -263,13 +263,11 @@ def degreedist_extension_check(
     d = _declared_degree(f)
     if _declared_degree(g) != d:
         raise InvalidArgumentError("f and g must declare the same degree")
-    if sieve is None:
-        sieve = build_sieve(int(cutoff))
     kmax = d + int(tail_terms)
     rows = []
     violations = []
     sup = None
-    for p in sieve.primes[sieve.primes <= cutoff]:
+    for p in sieve_primes(cutoff, sieve):
         p = int(p)
         if f.constituents is not None and g.constituents is not None:
             fq = q_all(kmax, [c.value(p, 1) for c in f.constituents])

@@ -2,12 +2,13 @@
 
 All quantities here are finite partial sums with a diagnostic attached, not
 convergence proofs.  Prime-indexed series (the classic, beta and strong
-distances) get a fitted slope of their partials against log log cutoff, and
-the slope threshold classifies the report as plateauing or growing.  Local
-series over prime powers (the square and absolute quotient series) instead
-truncate each inner k-sum at a declared depth and apply a trailing ratio
-test, reporting a geometric tail bound when it passes and a divergence flag
-when it does not.
+distances) fold their terms over the primes of core.sieve_primes, BLOCK at a
+time, by core.prime_sums; they get a fitted slope of their partials against
+log log cutoff, and the slope threshold classifies the report as plateauing
+or growing.  Local series over prime powers (the square and absolute
+quotient series) instead truncate each inner k-sum at a declared depth and
+apply a trailing ratio test, reporting a geometric tail bound when it passes
+and a divergence flag when it does not.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    COMPLETELY_MULTIPLICATIVE,
     FunctionSpec,
     SEQUENTIAL,
     UNIT_DISC_TOL,
@@ -29,7 +29,9 @@ from .core import (
     checkpoint_positions,
     checkpointed_sums,
     evaluate,
+    prime_sums,
     prime_values_of,
+    sieve_primes,
     value_chunks,
 )
 from .dirichlet import capped_exponent
@@ -114,12 +116,8 @@ def _verdict(slope: Optional[float]) -> str:
     return VERDICT_PLATEAU if slope < PLATEAU_SLOPE else VERDICT_GROWING
 
 
-def _series_report(kind, params, ps, terms, cutoff, checkpoints, mode, threads):
-    # terms are indexed by the primes ps, or by n = 1, 2, ... when ps is None
-    cutoffs, positions = checkpoint_positions(checkpoints, cutoff, "cutoff")
-    if ps is not None:
-        positions = np.searchsorted(ps, cutoffs, side="right")
-    partials = checkpointed_sums(terms, positions, mode=mode, threads=threads).real
+def _series_report(kind, params, cutoffs, sums):
+    partials = sums.real
     if not np.all(np.isfinite(partials)):
         raise OutOfRangeError(f"{kind} partials are not finite")
     slope = fit_tail_slope(cutoffs, partials)
@@ -179,26 +177,25 @@ def _weighted_distance(kind, f, g, beta, cutoff, checkpoints, sieve, mode, threa
     cutoff = float(cutoff)
     if cutoff < 2:
         raise InvalidArgumentError("cutoff must be >= 2")
-    if sieve is None:
-        sieve = build_sieve(int(cutoff))
-    ps = sieve.primes[sieve.primes <= cutoff]
-    fp = prime_values_of(f, ps)
-    gp = prime_values_of(g, ps)
-    _require_unit_disc("f", f, ps, fp)
-    _require_unit_disc("g", g, ps, gp)
-    terms = (1.0 - (fp * np.conj(gp)).real) / ps.astype(np.float64) ** beta
+
+    def terms_of(ps):
+        fp, gp = prime_values_of(f, ps), prime_values_of(g, ps)
+        _require_unit_disc("f", f, ps, fp)
+        _require_unit_disc("g", g, ps, gp)
+        return (1.0 - (fp * np.conj(gp)).real) / ps.astype(np.float64) ** beta
+
     params = {"f": f.name, "g": g.name, "cutoff": cutoff}
     if kind == "beta":
         params["beta"] = beta
-    return _series_report(kind, params, ps, terms, cutoff, checkpoints, mode, threads)
+    return _series_report(kind, params, *prime_sums(
+        terms_of, sieve_primes(cutoff, sieve), cutoff, checkpoints, mode, threads))
 
 
-def _cm_powers(spec: FunctionSpec, ps: np.ndarray, fp: np.ndarray, k: int):
+def _powers(spec: FunctionSpec, ps: np.ndarray, fp: np.ndarray, k: int):
     """Yield f(p^j) at the primes ps for j = 2, ..., k, with the bits of
-    FunctionSpec.rule, for a completely multiplicative spec with f(p) = fp:
-    from the period at the int64 residues r_j = r_{j-1}·(p mod q) mod q
-    (each product is below q², exact in int64), or else as the running
-    product f(p^{j-1})·f(p) of rule."""
+    FunctionSpec.value, given f(p) = fp: from the period at the int64 residues
+    r_j = r_{j-1}·(p mod q) mod q (each product is below q², exact in int64),
+    the running product f(p^{j-1})·f(p) of rule, or else the spec's store."""
     if spec.period is not None:
         q = spec.period.size
         r1 = ps % q
@@ -207,9 +204,12 @@ def _cm_powers(spec: FunctionSpec, ps: np.ndarray, fp: np.ndarray, k: int):
             r = r * r1 % q
             yield spec.period[r]
         return
+    if spec.powers is not None:  # value() computes f(p) first: store one batch
+        spec.remember_primes(ps)
     fpj = fp
-    for _ in range(2, k + 1):
-        fpj = fpj * fp
+    for j in range(2, k + 1):
+        fpj = (fpj * fp if spec.powers is None
+               else np.array([spec.value(p, j) for p in ps.tolist()], dtype=complex))
         yield fpj
 
 
@@ -237,35 +237,21 @@ def distance_strong(
     cutoff = float(cutoff)
     if cutoff < 2:
         raise InvalidArgumentError("cutoff must be >= 2")
-    if sieve is None:
-        sieve = build_sieve(int(cutoff))
-    ps = sieve.primes[sieve.primes <= cutoff]
-    pf = ps.astype(np.float64)
-    fp = prime_values_of(f, ps)
-    gp = prime_values_of(g, ps)
-    both_cm = (
-        f.kind == COMPLETELY_MULTIPLICATIVE and g.kind == COMPLETELY_MULTIPLICATIVE
-    )
-    if both_cm:
-        fpows, gpows = _cm_powers(f, ps, fp, k), _cm_powers(g, ps, gp, k)
-    elif k > 1:  # value(p, j) computes f(p) first: store it from one batch
-        f.remember_primes(ps)
-        g.remember_primes(ps)
-    # p^{jβ} may overflow to inf, which makes its finite term 0
-    with np.errstate(over="ignore"):
-        terms = np.abs(fp - gp) / pf**beta
-        for j in range(2, k + 1):
-            if both_cm:
-                diff = np.abs(next(fpows) - next(gpows))
-            else:
-                diff = np.abs(
-                    np.array([f.value(int(p), j) - g.value(int(p), j) for p in ps])
-                )
-            terms += diff / pf ** (j * beta)
+
+    def terms_of(ps):
+        pf = ps.astype(np.float64)
+        fp, gp = prime_values_of(f, ps), prime_values_of(g, ps)
+        fpows, gpows = _powers(f, ps, fp, k), _powers(g, ps, gp, k)
+        # p^{jβ} may overflow to inf, which makes its finite term 0
+        with np.errstate(over="ignore"):
+            terms = np.abs(fp - gp) / pf**beta
+            for j in range(2, k + 1):
+                terms += np.abs(next(fpows) - next(gpows)) / pf ** (j * beta)
+        return terms
+
     params = {"f": f.name, "g": g.name, "beta": beta, "k": k, "cutoff": cutoff}
-    return _series_report(
-        "strong-beta-k", params, ps, terms, cutoff, checkpoints, mode, threads,
-    )
+    return _series_report("strong-beta-k", params, *prime_sums(
+        terms_of, sieve_primes(cutoff, sieve), cutoff, checkpoints, mode, threads))
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +360,7 @@ def quotient_square_series(
         raise InvalidArgumentError(f"sigma must be > 0, got {sigma}")
     spec = _spec_of(h)
     cutoff = 4.0 ** (1.0 / sigma)
-    if cutoff >= 2.0:
-        ps = [int(p) for p in build_sieve(int(cutoff)).primes]
-    else:
-        ps = []
+    ps = sieve_primes(cutoff).tolist() if cutoff >= 2.0 else []
     return _truncated_local_report(
         "H-sigma", spec, sigma, ps, truncation, power=2, k_start=0,
         extra_params={"prime_cutoff": cutoff},
@@ -395,7 +378,7 @@ def quotient_abs_series(
     if Y < 2:
         raise InvalidArgumentError(f"Y must be >= 2, got {Y}")
     spec = _spec_of(h)
-    ps = [int(p) for p in build_sieve(int(Y)).primes if p <= Y]
+    ps = sieve_primes(Y).tolist()
     return _truncated_local_report(
         "Hhat-Y-sigma", spec, sigma, ps, truncation, power=1, k_start=1,
         extra_params={"Y": Y},
@@ -429,12 +412,13 @@ def h_majorant_series(
             sieve = build_sieve(N)
         table = evaluate(spec, sieve, N)
     params = {"h": spec.name, "sigma": sigma, "N": N, "power": power}
+    cutoffs, positions = checkpoint_positions(checkpoints, float(N), "cutoff")
     with np.errstate(all="ignore"):
         mags = ((a, np.abs(v)) for a, v in value_chunks(table, N))
         w = ((mag if power == "L1" else mag * mag)
              / np.arange(a, a + mag.size, dtype=np.float64)**sigma for a, mag in mags)
-        return _series_report("h-L2" if power == "L2" else "h-L1", params, None, w,
-                              float(N), checkpoints, mode, threads)
+        sums = checkpointed_sums(w, positions, mode=mode, threads=threads)
+    return _series_report("h-L2" if power == "L2" else "h-L1", params, cutoffs, sums)
 
 
 def h2_envelope(beta: float, dist_beta_sq: float) -> float:

@@ -303,6 +303,62 @@ def sum2_prefixes(terms) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _whole_array_sums(ps, terms, cutoff, checkpoints):
+    """(x, S) with S the Sum2 prefixes of the whole term array at the
+    checkpoints x, gathered at the prime counts π(x) of ps."""
+    from pretense import core
+
+    x, _ = core.checkpoint_positions(checkpoints, cutoff, "cutoff")
+    return x, core.checkpointed_sums(terms, np.searchsorted(ps, x, side="right"))
+
+
+def whole_array_distance(f, g, beta, cutoff, checkpoints, sieve):
+    """(x, S) of the β-distance Σ_{p≤x} (1 − Re f(p) conj(g(p)))/p^β, the
+    classic one at β = 1, with every term formed at once from the whole
+    prime list, as metrics formed them before its sums streamed: the byte
+    reference of the streamed fold."""
+    from pretense.core import prime_values_of
+
+    ps = sieve.primes[sieve.primes <= cutoff]
+    fp, gp = prime_values_of(f, ps), prime_values_of(g, ps)
+    terms = (1.0 - (fp * np.conj(gp)).real) / ps.astype(np.float64) ** beta
+    return _whole_array_sums(ps, terms, cutoff, checkpoints)
+
+
+def whole_array_strong(f, g, beta, k, cutoff, checkpoints, sieve):
+    """(x, S) of Σ_{p≤x} Σ_{j≤k} |f(p^j) − g(p^j)|/p^{jβ} from whole prime
+    arrays, each f(p^j), j ≥ 2, read by one value() call per prime."""
+    from pretense.core import prime_values_of
+
+    ps = sieve.primes[sieve.primes <= cutoff]
+    pf = ps.astype(np.float64)
+    fp, gp = prime_values_of(f, ps), prime_values_of(g, ps)
+    with np.errstate(over="ignore"):
+        terms = np.abs(fp - gp) / pf**beta
+        for j in range(2, k + 1):
+            diff = np.abs(np.array([f.value(int(p), j) - g.value(int(p), j) for p in ps]))
+            terms += diff / pf ** (j * beta)
+    return _whole_array_sums(ps, terms, cutoff, checkpoints)
+
+
+def whole_array_phase_sums(f, tau, cutoff, checkpoints, sieve):
+    """(x, S) of Σ_{5≤p≤x} i ω_p f(p)/(p^τ log log p) from whole prime
+    arrays, ω_p by the sign rule of twist_sign_rule at cutoff."""
+    from pretense.constructions import twist_sign_rule
+    from pretense.core import prime_values_of
+
+    rule, _ = twist_sign_rule(f, cutoff, sieve=sieve)
+    ps = sieve.primes[(sieve.primes >= 5) & (sieve.primes <= cutoff)]
+    fp = prime_values_of(f, ps)
+    if rule == "against-imaginary":
+        om = np.where(fp.imag >= 0, -1.0, 1.0)
+    else:
+        om = np.where(fp.real >= 0, 1.0, -1.0)
+    pf = ps.astype(np.float64)
+    terms = 1j * om * fp / (pf**tau * np.log(np.log(pf)))
+    return _whole_array_sums(ps, terms, cutoff, checkpoints)
+
+
 def _csv_cell(v) -> str:
     f = float(v)
     if f.is_integer() and abs(f) < 2**53:

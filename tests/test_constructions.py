@@ -332,6 +332,18 @@ def test_optimality_twist_validation():
         optimality_twist(standard_spec("moebius"), beta=0.5)  # not CM
 
 
+@pytest.mark.parametrize("call", [
+    lambda sv: twist_sign_rule(standard_spec("one"), 10**6, sieve=sv),
+    lambda sv: optimality_twist(standard_spec("one"), beta=0.5,
+                                diagnostics_cutoff=10**6, sieve=sv),
+    lambda sv: phase_sum_partials(standard_spec("one"), tau=1.0, cutoff=10**6, sieve=sv),
+], ids=["twist_sign_rule", "optimality_twist", "phase_sum_partials"])
+def test_twist_rejects_a_sieve_short_of_the_cutoff(sieve_1e4, call):
+    # such a sieve used to give a diagnostic or sums over the primes ≤ 1e4
+    with pytest.raises(InvalidArgumentError, match="cutoff 1000000 beyond sieve limit 10000"):
+        call(sieve_1e4)
+
+
 def test_phase_sum_partials_monotone_imaginary(sieve_1e6):
     s = phase_sum_partials(standard_spec("one"), tau=1.0, cutoff=10**6,
                            sieve=sieve_1e6)

@@ -56,6 +56,9 @@ from oracles import (
     real_at_prime_powers,
     reference_evaluate,
     sum2_prefixes,
+    whole_array_distance,
+    whole_array_phase_sums,
+    whole_array_strong,
 )
 
 
@@ -169,6 +172,33 @@ def test_sieve_does_not_depend_on_segment(limit):
     assert sv.primes.tolist() == brute_primes(limit)
     want = [0, 0] + [brute_factorize(n)[0][0] for n in range(2, limit + 1)]
     assert sv.spf.tolist() == want
+
+
+def test_sieve_primes_views_the_primes_in_range(sieve_100):
+    ps = core.sieve_primes(50.5, sieve_100, least=5)
+    assert ps.tolist() == [p for p in brute_primes(50) if p >= 5]
+    assert np.shares_memory(ps, sieve_100.primes)
+    assert core.sieve_primes(100, sieve_100).tolist() == brute_primes(100)
+    assert core.sieve_primes(4, sieve_100, least=5).size == 0
+    assert core.sieve_primes(30.5).tolist() == brute_primes(30)  # a sieve is built
+    with pytest.raises(InvalidArgumentError, match="cutoff 101 beyond sieve limit 100"):
+        core.sieve_primes(101, sieve_100)
+
+
+def test_prime_sums_fold_slices_at_the_checkpoints(sieve_100):
+    sizes = []
+
+    def terms_of(ps):
+        sizes.append(ps.size)
+        return ps.astype(np.float64)
+
+    ps = core.sieve_primes(100, sieve_100)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "BLOCK", 4)
+        x, sums = core.prime_sums(terms_of, ps, 100, [1, 2, 10.5, 97, 100])
+    assert sizes == [4, 4, 4, 4, 4, 4, 1]
+    assert x.tolist() == [1, 2, 10.5, 97, 100]
+    assert sums.tolist() == [0, 2, 17, 1060, 1060]
 
 
 def test_sieve_allocates_spf_primes_and_one_block():
@@ -998,6 +1028,49 @@ def _in_order_folds(table, x, y) -> list:
     ]
 
 
+def _prime_fold_pairs():
+    """Fresh (f, g) for the strong distance: periodic, archimedean twists,
+    not completely multiplicative (μ²χ₄, μ) and mixed (χ₄, μ)."""
+    chi4 = dirichlet_character(4, 1)
+    return [
+        (dirichlet_character(7, 1), chi4),
+        (archimedean_twist(1.25), archimedean_twist(1.25 + 1e-7)),
+        (squarefree_restrict(chi4), standard_spec("moebius")),
+        (chi4, standard_spec("moebius")),
+    ]
+
+
+_PRIME_FOLD_BETAS = (0.25, 0.5, 1.0)
+
+
+def _prime_folds(sieve, n, x) -> list:
+    """Every sum over primes through core.prime_sums, on fresh specs, at
+    cutoff n and checkpoints x: the classic distance, the β-distance at each
+    of _PRIME_FOLD_BETAS, the strong distance at k = 3 for each pair of
+    _prime_fold_pairs, and the phase sums of χ₇."""
+    chi4, chi7 = dirichlet_character(4, 1), dirichlet_character(7, 1)
+    mu = standard_spec("moebius")
+    return (
+        [metrics.distance_classic(chi7, mu, n, x, sieve)]
+        + [metrics.distance_beta(chi4, chi7, b, n, x, sieve) for b in _PRIME_FOLD_BETAS]
+        + [metrics.distance_strong(f, g, 0.5, 3, n, x, sieve)
+           for f, g in _prime_fold_pairs()]
+        + [phase_sum_partials(chi7, 1.0, n, x, sieve)]
+    )
+
+
+def _whole_array_prime_folds(sieve, n, x) -> list:
+    """The (x, S) of each fold of _prime_folds by its whole-array formula."""
+    chi4, chi7 = dirichlet_character(4, 1), dirichlet_character(7, 1)
+    mu = standard_spec("moebius")
+    return (
+        [whole_array_distance(chi7, mu, 1.0, n, x, sieve)]
+        + [whole_array_distance(chi4, chi7, b, n, x, sieve) for b in _PRIME_FOLD_BETAS]
+        + [whole_array_strong(f, g, 0.5, 3, n, x, sieve) for f, g in _prime_fold_pairs()]
+        + [whole_array_phase_sums(chi7, 1.0, n, x, sieve)]
+    )
+
+
 def test_in_order_folds_do_not_depend_on_chunk_length(sieve_1e4):
     n = 3000
     chi7 = evaluate(product_copy(dirichlet_character(7, 1)), sieve_1e4, n)
@@ -1010,11 +1083,21 @@ def test_in_order_folds_do_not_depend_on_chunk_length(sieve_1e4):
     for b in blocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "BLOCK", b)
-            got[b] = (_in_order_folds(chi7, x, y), _in_order_folds(mu, x, y))
-    want_chi7, want_mu = got[core.BLOCK]
+            got[b] = (_in_order_folds(chi7, x, y), _in_order_folds(mu, x, y),
+                      [core.json_text(rep) for rep in _prime_folds(sieve_1e4, n, x)])
+    want_chi7, want_mu, want_primes = got[core.BLOCK]
     for b in blocks:
         assert got[b][1] == want_mu  # whole values: the mean square too
         assert got[b][0][:-1] == want_chi7[:-1]
+        assert got[b][2] == want_primes
+    # the sums over primes keep the bits of their whole-array formulas
+    for rep, (cut, sums) in zip(_prime_folds(sieve_1e4, n, x),
+                                _whole_array_prime_folds(sieve_1e4, n, x)):
+        got_x, got_s = ((rep.cutoffs, rep.partials) if hasattr(rep, "partials")
+                        else (rep.checkpoints, rep.sums))
+        want_s = sums.real if got_s.dtype == np.float64 else sums
+        assert got_x.tobytes() == cut.tobytes()
+        assert got_s.tobytes() == want_s.tobytes()
     # as documented, the last bits of a non-integer mean square depend on
     # BLOCK, and the byte comparison sees them
     assert len({got[b][0][-1] for b in blocks}) > 1

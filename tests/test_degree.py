@@ -162,6 +162,14 @@ def test_extension_check_bounded_for_random_pairs(sieve_1e4):
     assert rep.degree == 2 and rep.p_min == 11
 
 
+def test_extension_check_rejects_a_sieve_short_of_the_cutoff(sieve_100):
+    chi4, chi3 = dirichlet_character(4, 1), dirichlet_character(3, 1)
+    f, g = degree_d_spec([chi4, chi3]), degree_d_spec([chi3, chi3])
+    # such a sieve used to give the rows of the primes ≤ 100 alone
+    with pytest.raises(InvalidArgumentError, match="cutoff 10000 beyond sieve limit 100"):
+        degreedist_extension_check(f, g, 0.5, 10**4, sieve=sieve_100)
+
+
 def test_growth_delta_check_reports(sieve_1e4):
     tau = degree_d_spec([standard_spec("one"), standard_spec("one")])
     reports = growth_delta_check(tau, 10**4, deltas=(0.1, 0.2), sieve=sieve_1e4)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,60 @@ def test_distance_requires_unit_disc_values(sieve_1e4):
         distance_classic(big, standard_spec("one"), 100, sieve=sieve_1e4)
 
 
+def test_unit_disc_error_names_the_first_slice_with_a_bad_value(sieve_1e4):
+    # f leaves the disc at 97 only, g at 2 only: f's error comes first
+    # within a slice of primes, and the slice of 2 comes first
+    from pretense import core
+    from pretense.core import COMPLETELY_MULTIPLICATIVE, FunctionSpec
+
+    def bad_at(q):
+        return FunctionSpec(name=f"bad-at-{q}", kind=COMPLETELY_MULTIPLICATIVE,
+                            prime_values=lambda ps: np.where(ps == q, 3.0, 1.0))
+
+    f, g = bad_at(97), bad_at(2)
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^f='bad-at-97' leaves the unit disc at p=97$"):
+        distance_classic(f, g, 100, sieve=sieve_1e4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "BLOCK", 1)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^g='bad-at-2' leaves the unit disc at p=2$"):
+            distance_classic(f, g, 100, sieve=sieve_1e4)
+
+
+_DISTANCES = {
+    "distance_classic": lambda f, g, x, sv: distance_classic(f, g, x, sieve=sv),
+    "distance_beta": lambda f, g, x, sv: distance_beta(f, g, 0.5, x, sieve=sv),
+    "distance_strong": lambda f, g, x, sv: distance_strong(f, g, 1.5, 3, x, sieve=sv),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DISTANCES))
+def test_distance_rejects_a_sieve_short_of_the_cutoff(sieve_1e4, name):
+    # such a sieve used to give the sum over the primes ≤ 1e4 at cutoff 1e6
+    f, g = dirichlet_character(4, 1), standard_spec("moebius")
+    with pytest.raises(InvalidArgumentError, match="cutoff 1000000.0 beyond sieve limit 10000"):
+        _DISTANCES[name](f, g, 10**6, sieve_1e4)
+    # a cutoff between the limit and the next integer needs no more primes
+    assert _DISTANCES[name](f, g, 10**4 + 0.5, sieve_1e4).total > 0
+
+
+@pytest.mark.parametrize("name", sorted(_DISTANCES))
+def test_distance_peak_memory_does_not_grow_with_the_primes(sieve_1e7, name):
+    # the terms are formed BLOCK primes at a time: the traced peak holds a
+    # few slices, not an array per prime (78,498 primes to 1e6, 283,146 to 4e6)
+    f, g = dirichlet_character(4, 1), standard_spec("liouville")
+    peaks = []
+    for cutoff in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            _DISTANCES[name](f, g, cutoff, sieve_1e7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def test_distance_strong_covers_higher_powers(sieve_1e4):
     # strong variant with k = 1 and beta = 1 matches a first-power abs sum
     f = standard_spec("one")
@@ -109,8 +164,9 @@ def test_distance_strong_covers_higher_powers(sieve_1e4):
 
 
 def test_distance_strong_cm_powers_match_value(sieve_1e4):
-    # the both-completely-multiplicative branch must use the f(p^j) that
-    # value() and evaluate use: general copies reading value(p, k) agree
+    # the powers of a completely multiplicative spec, from its period or
+    # running product, must be the f(p^j) that value() and evaluate use:
+    # general copies reading value(p, k) from their stores agree
     from pretense.constructions import archimedean_twist
     from pretense.core import GENERAL_MULTIPLICATIVE, FunctionSpec
 
