@@ -3,11 +3,9 @@ algebra, pretentious distances, degree-d symmetric structure, and desk-scale
 growth diagnostics."""
 
 from .core import (
-    BLOCK_PARALLEL,
     COMPLETELY_MULTIPLICATIVE,
     DEGREE_D_COMPOSITE,
     GENERAL_MULTIPLICATIVE,
-    SEQUENTIAL,
     TABULATED,
     FunctionSpec,
     PartialSumSeries,

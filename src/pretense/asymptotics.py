@@ -96,9 +96,7 @@ def running_max_fit(table: ValueTable, checkpoints) -> GrowthFit:
     exponent reads the order of growth.  Checkpoints are as in running_max.
     """
     series, peaks = running_max(table, checkpoints)
-    return growth_fit(PartialSumSeries(
-        checkpoints=series.checkpoints, sums=peaks, summation_mode="running-max",
-    ))
+    return growth_fit(PartialSumSeries(checkpoints=series.checkpoints, sums=peaks))
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,8 @@ from .asymptotics import (
 )
 from .constructions import STANDARD_NAMES, spec_descriptor, spec_from_descriptor
 from .core import (
-    BLOCK_PARALLEL,
     COMPLETELY_MULTIPLICATIVE,
     GENERAL_MULTIPLICATIVE,
-    SEQUENTIAL,
     build_sieve,
     csv_chunks,
     evaluate,
@@ -63,7 +61,6 @@ from .core import (
     json_text,
     partial_sums,
     read_series_csv,
-    resolve_threads,
 )
 from .degree import alpha_coeffs, recursion_residual
 from .dirichlet import capped_exponent, dirichlet_inverse, is_prime, solve_quotient
@@ -189,10 +186,23 @@ def _parse_complex(text: str) -> complex:
     return v
 
 
-def _sum_mode(threads: Optional[int]) -> str:
-    # both mode names run the same summation and give the same bits; the
-    # name records whether the caller asked for a worker count
-    return BLOCK_PARALLEL if threads else SEQUENTIAL
+def _check_threads(threads: Optional[int]) -> None:
+    """Reject a --threads, or else a PRETENSE_THREADS, below 1 or not an
+    integer.  Every summation runs one path, so the count selects nothing."""
+    source = "thread count"
+    if threads is None:
+        env = os.environ.get("PRETENSE_THREADS", "").strip()
+        if not env:
+            return
+        source = "PRETENSE_THREADS"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"PRETENSE_THREADS must be an integer >= 1, got {env!r}"
+            ) from None
+    if threads < 1:
+        raise InvalidArgumentError(f"{source} must be >= 1, got {threads}")
 
 
 def _emit(chunks, out: Optional[str]) -> None:
@@ -343,7 +353,7 @@ def _cmd_sums(a) -> int:
     spec = parse_spec_arg(a.spec)
     table = evaluate(spec, build_sieve(a.N))
     grid = parse_checkpoints(a.checkpoints, a.N)
-    series = partial_sums(table, grid, mode=_sum_mode(a.threads), threads=a.threads)
+    series = partial_sums(table, grid)
     _emit(csv_chunks(series.checkpoints, series.sums), a.out)
     return 0
 
@@ -389,16 +399,12 @@ def _cmd_distance(a) -> int:
     f = parse_spec_arg(a.spec)
     g = parse_spec_arg(a.spec2)
     grid = parse_checkpoints(a.checkpoints, a.N) if a.checkpoints else None
-    mode = _sum_mode(a.threads)
     if a.kind == "classic":
-        rep = distance_classic(f, g, a.N, checkpoints=grid,
-                               mode=mode, threads=a.threads)
+        rep = distance_classic(f, g, a.N, checkpoints=grid)
     elif a.kind == "beta":
-        rep = distance_beta(f, g, a.beta, a.N, checkpoints=grid,
-                            mode=mode, threads=a.threads)
+        rep = distance_beta(f, g, a.beta, a.N, checkpoints=grid)
     else:
-        rep = distance_strong(f, g, a.beta, a.k, a.N, checkpoints=grid,
-                              mode=mode, threads=a.threads)
+        rep = distance_strong(f, g, a.beta, a.k, a.N, checkpoints=grid)
     _dump_json(rep, a.out)
     return 0
 
@@ -411,8 +417,7 @@ def _cmd_hseries(a) -> int:
                               max_exponent=max(a.k, 2)).spec
     if a.N is not None:
         table = evaluate(spec, build_sieve(a.N))
-        rep = h_majorant_series(table, a.sigma, a.N, power=a.power,
-                                mode=_sum_mode(a.threads), threads=a.threads)
+        rep = h_majorant_series(table, a.sigma, a.N, power=a.power)
     elif a.Y is not None:
         rep = quotient_abs_series(spec, a.sigma, a.Y, truncation=a.k)
     else:
@@ -474,7 +479,7 @@ def _cmd_xi(a) -> int:
     sv = build_sieve(a.N)
     table = evaluate(f, sv)
     grid = parse_checkpoints(a.checkpoints, a.N)
-    series = partial_sums(table, grid, mode=_sum_mode(a.threads), threads=a.threads)
+    series = partial_sums(table, grid)
     xi = xi_from_sums(series, a.alpha)
     if a.x is not None:
         if a.spec2 is not None:
@@ -505,7 +510,7 @@ def _cmd_lseries(a) -> int:
 
 
 def _cmd_verify(a) -> int:
-    results = run_bundle(a.bundle, seed=a.seed, threads=a.threads)
+    results = run_bundle(a.bundle, seed=a.seed)
     for r in results:
         print(r.row())
     n_pass = sum(r.passed for r in results)
@@ -536,7 +541,8 @@ def _add_common(p, *names, **overrides):
         "--out": dict(type=str, help="write output here instead of stdout"),
         "--seed": dict(type=int, default=DEFAULT_SEED, help="random seed"),
         "--threads": dict(type=int, default=None,
-                          help="worker count (default PRETENSE_THREADS or 1)"),
+                          help="an integer >= 1, checked and then ignored "
+                               "(default PRETENSE_THREADS)"),
         "--mode": dict(type=str, choices=(EXACT, NEAREST), default=EXACT,
                        help="lookup mode for normalized sums"),
         "--primes": dict(type=str, help='comma list of primes, e.g. "2,3,5"'),
@@ -668,7 +674,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if isinstance(v, float) and not math.isfinite(v):
                 raise InvalidArgumentError(f"--{name} must be finite, got {v}")
         if hasattr(args, "threads"):
-            resolve_threads(args.threads)
+            _check_threads(args.threads)
         return args.fn(args)
     except PretenseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,12 +21,12 @@ from .core import (
     TABULATED,
     FunctionSpec,
     PartialSumSeries,
-    SEQUENTIAL,
     SieveIndex,
     prime_sums,
     prime_values_of,
     sieve_primes,
 )
+from .dirichlet import is_prime
 from .errors import InvalidArgumentError, PretenseError, RuleError
 from .randspecs import prime_table, random_pair_sparse_diff, random_spec
 
@@ -469,7 +469,7 @@ def phase_sum_partials(
         return 1j * om * fp / (ps.astype(np.float64) ** tau * _loglog(ps))
 
     x, sums = prime_sums(terms_of, ps, cutoff, checkpoints)
-    return PartialSumSeries(checkpoints=x, sums=sums, summation_mode=SEQUENTIAL)
+    return PartialSumSeries(checkpoints=x, sums=sums)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +501,14 @@ def tabulated_spec(
     """Spec backed by an explicit {(p, k): value} table; off-table queries fail.
 
     The k = 1 rows are the prime map.  A completely multiplicative table may
-    list k = 1 only: its higher powers are derived.
+    list k = 1 only: its higher powers are derived.  A row that no query can
+    read, at k < 1 or at a p that is not prime, is an error.
     """
     table = {(int(p), int(k)): complex(v) for (p, k), v in values.items()}
+    for p, k in table:
+        if k < 1 or not is_prime(p):
+            raise InvalidArgumentError(
+                f"{name!r} row (p={p}, k={k}) is never read: need a prime p and k >= 1")
     if kind == COMPLETELY_MULTIPLICATIVE and any(k != 1 for _, k in table):
         raise InvalidArgumentError(f"a {kind} table may list k = 1 only")
     firsts = sorted((p, v) for (p, k), v in table.items() if k == 1)

@@ -43,11 +43,10 @@ Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
 Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
 as summing in twice the working precision, in an order fixed by the data
 alone.  checkpointed_sums gathers it at positions and running_max folds
-max_{n ≤ x} |S(n)| from it; the chunk length BLOCK, the summation mode and
-the thread count never change its bits.  A chunk of whole terms whose
-running sums stay below 2^52, as for μ, λ and the real characters, adds
-exactly, so its TwoSum errors are zero: the kernel sees this from the data
-and skips the error pass, with the same bits.
+max_{n ≤ x} |S(n)| from it; the chunk length BLOCK never changes its bits.
+A chunk of whole terms whose running sums stay below 2^52, as for μ, λ and
+the real characters, adds exactly, so its TwoSum errors are zero: the
+kernel sees this from the data and skips the error pass, with the same bits.
 
 Tables and series travel as CSV rows n_or_x,re,im,abs.  The codec is
 columnar: csv_chunks formats BLOCK rows at a time.  A chunk of whole cells
@@ -68,7 +67,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Optional, Sequence
 
@@ -368,17 +366,16 @@ class ValueTable:
 
 @dataclass(frozen=True)
 class PartialSumSeries:
-    """Checkpointed partial sums S_f(x_i) plus the mode that produced them."""
+    """Checkpointed partial sums S_f(x_i), with the table they sum if any."""
 
     checkpoints: np.ndarray
     sums: np.ndarray
-    summation_mode: str
     source: Optional[ValueTable] = None
 
 
+# Names the benchmark passes as partial_sums(mode=...); nothing reads them.
 SEQUENTIAL = "compensated-sequential"
 BLOCK_PARALLEL = "block-parallel-deterministic"
-SUMMATION_MODES = (SEQUENTIAL, BLOCK_PARALLEL)
 
 
 def prime_values_of(spec: FunctionSpec, primes: np.ndarray) -> np.ndarray:
@@ -524,26 +521,6 @@ def evaluate(spec: FunctionSpec, sieve: SieveIndex, limit: Optional[int] = None)
 # compensated prefix summation
 
 
-def resolve_threads(threads: Optional[int]) -> int:
-    """Worker count: `threads`, else $PRETENSE_THREADS, else 1; must be >= 1."""
-    source = "thread count"
-    if threads is None:
-        env = os.environ.get("PRETENSE_THREADS", "").strip()
-        if not env:
-            return 1
-        source = "PRETENSE_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"PRETENSE_THREADS must be an integer >= 1, got {env!r}"
-            ) from None
-    threads = int(threads)
-    if threads < 1:
-        raise InvalidArgumentError(f"{source} must be >= 1, got {threads}")
-    return threads
-
-
 def _whole_below_2_52(flat: np.ndarray, scratch: np.ndarray) -> bool:
     """Whether every value of flat is whole and Σ|flat| < 2^52, checked in
     scratch of flat's size.  The first 64 values are tested alone first, in
@@ -627,14 +604,14 @@ def sieve_primes(cutoff, sieve: Optional[SieveIndex] = None, least: int = 2):
                         np.searchsorted(sieve.primes, top, side="right")]
 
 
-def prime_sums(terms_of, ps, cutoff, checkpoints=None, mode=SEQUENTIAL, threads=None):
+def prime_sums(terms_of, ps, cutoff, checkpoints=None):
     """(x, S): checkpoints x in [1, cutoff] and the Sum2 prefixes S(x) of the
     terms that the elementwise terms_of gives for each slice of at most BLOCK
     of the primes ps of sieve_primes, with the bits of one whole array."""
     x, floors = checkpoint_positions(checkpoints, cutoff, "cutoff")
     terms = (terms_of(ps[a : a + BLOCK]) for a in range(0, ps.size, BLOCK))
     positions = np.searchsorted(ps, floors, side="right")
-    return x, checkpointed_sums(terms, positions, mode=mode, threads=threads)
+    return x, checkpointed_sums(terms, positions)
 
 
 def checkpoint_positions(checkpoints, limit, what: str = "table limit"):
@@ -656,19 +633,9 @@ def checkpoint_positions(checkpoints, limit, what: str = "table limit"):
     return x, np.floor(x).astype(np.int64)
 
 
-def checkpointed_sums(
-    terms: np.ndarray,
-    positions: np.ndarray,
-    mode: str = SEQUENTIAL,
-    threads: Optional[int] = None,
-) -> np.ndarray:
+def checkpointed_sums(terms: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Compensated prefix sums of `terms` at sorted 0-based prefix lengths:
-    the Sum2 prefixes of _sum2_chunks, as complex128.  Mode and thread count
-    are validated but select nothing, so every mode gives the same bits.
-    """
-    if mode not in SUMMATION_MODES:
-        raise InvalidArgumentError(f"unknown summation mode {mode!r}")
-    resolve_threads(threads)
+    the Sum2 prefixes of _sum2_chunks, as complex128."""
     positions = np.asarray(positions, dtype=np.int64)
     bad = InvalidArgumentError("prefix positions must be sorted within range")
     if np.any(np.diff(positions) < 0) or np.any(positions < 0):
@@ -685,16 +652,16 @@ def checkpointed_sums(
 
 
 def partial_sums(
-    table: ValueTable,
-    checkpoints: Sequence[float],
-    mode: str = SEQUENTIAL,
-    threads: Optional[int] = None,
+    table: ValueTable, checkpoints: Sequence[float], *, mode=None, threads=None
 ) -> PartialSumSeries:
-    """S_f(x_i) = Σ_{n ≤ x_i} f(n) at strictly increasing real checkpoints."""
+    """S_f(x_i) = Σ_{n ≤ x_i} f(n) at strictly increasing real checkpoints.
+
+    mode and threads are ignored; they stay only because bench/workloads.py
+    passes them."""
     x, positions = checkpoint_positions(checkpoints, table.limit)
     terms = (v for _, v in value_chunks(table, positions[-1]))
-    sums = checkpointed_sums(terms, positions, mode=mode, threads=threads)
-    return PartialSumSeries(checkpoints=x, sums=sums, summation_mode=mode, source=table)
+    return PartialSumSeries(checkpoints=x, sums=checkpointed_sums(terms, positions),
+                            source=table)
 
 
 def running_max(table: ValueTable, checkpoints: Sequence[float]) -> tuple:
@@ -711,7 +678,7 @@ def running_max(table: ValueTable, checkpoints: Sequence[float]) -> tuple:
         run = np.maximum(np.maximum.accumulate(np.abs(S)), best)
         sums[lo:hi], peaks[lo:hi] = S[idx], run[idx]
         lo, best = hi, run[-1]
-    return PartialSumSeries(x, sums, SEQUENTIAL, source=table), peaks
+    return PartialSumSeries(x, sums, source=table), peaks
 
 
 def mean_square_sum(table: ValueTable, x: float) -> float:
@@ -729,19 +696,16 @@ def mean_square_sum(table: ValueTable, x: float) -> float:
                      for _, v in value_chunks(table, m))
 
 
-def geometric_checkpoints(lo: float, hi: float, ratio: float = GRID_RATIO) -> np.ndarray:
-    """Grid ⌊lo·ratio^j⌋, deduplicated, clipped to hi.  Default ratio 10^(1/8)."""
+def geometric_checkpoints(lo: float, hi: float) -> np.ndarray:
+    """Grid ⌊lo·GRID_RATIO^j⌋, deduplicated, clipped to hi; GRID_RATIO is 10^(1/8)."""
     if not (lo >= 1 and math.isfinite(hi) and hi >= lo):
         raise InvalidArgumentError(f"need 1 <= lo <= hi < inf, got lo={lo}, hi={hi}")
-    if ratio <= 1:
-        raise InvalidArgumentError(f"grid ratio must exceed 1, got {ratio}")
     pts = []
     x = float(lo)
     while math.floor(x) <= hi:
         pts.append(math.floor(x))
-        x *= ratio
-    out = np.unique(np.asarray(pts, dtype=np.float64))
-    return out
+        x *= GRID_RATIO
+    return np.unique(np.asarray(pts, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -866,9 +830,7 @@ def read_series_csv(text: str) -> PartialSumSeries:
         raise InvalidArgumentError(f"CSV rows have {rows.shape[1]} cells, want 4")
     sums = np.empty(rows.shape[0], dtype=np.complex128)
     sums.real, sums.imag = rows[:, 1], rows[:, 2]
-    return PartialSumSeries(
-        checkpoints=rows[:, 0].copy(), sums=sums, summation_mode=SEQUENTIAL
-    )
+    return PartialSumSeries(checkpoints=rows[:, 0].copy(), sums=sums)
 
 
 def json_obj(obj):

@@ -31,6 +31,8 @@ from .dirichlet import is_prime
 from .errors import InvalidArgumentError
 
 MAX_DEGREE = 16
+# exponents past the degree that degreedist_extension_check sums as the tail
+EXTENSION_TAIL_TERMS = 40
 
 
 def q_all(kmax: int, x: Sequence[complex]) -> np.ndarray:
@@ -247,12 +249,11 @@ def degreedist_extension_check(
     beta: float,
     cutoff: float,
     p_min: int = 11,
-    tail_terms: int = 40,
     sieve: Optional[SieveIndex] = None,
 ) -> ExtensionReport:
     """Tail-vs-head ratios of the local strong-distance sums, per prime.
 
-    head = Σ_{n≤d}, tail = Σ_{d<n≤d+tail_terms} of |f(p^n)−g(p^n)|/p^{nβ}.
+    head = Σ_{n≤d}, tail = Σ_{d<n≤d+EXTENSION_TAIL_TERMS} of |f(p^n)−g(p^n)|/p^{nβ}.
     Primes with head = tail = 0 are skipped; head = 0 with tail > 1e-12 is
     recorded as a violation.  sup_ratio is over p >= p_min, where constituent
     size no longer dominates the weights.
@@ -263,7 +264,7 @@ def degreedist_extension_check(
     d = _declared_degree(f)
     if _declared_degree(g) != d:
         raise InvalidArgumentError("f and g must declare the same degree")
-    kmax = d + int(tail_terms)
+    kmax = d + EXTENSION_TAIL_TERMS
     rows = []
     violations = []
     sup = None

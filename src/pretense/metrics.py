@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     FunctionSpec,
-    SEQUENTIAL,
     UNIT_DISC_TOL,
     SieveIndex,
     ValueTable,
@@ -146,12 +145,13 @@ def distance_classic(
     cutoff: float,
     checkpoints=None,
     sieve: Optional[SieveIndex] = None,
-    mode: str = SEQUENTIAL,
-    threads: Optional[int] = None,
+    *,
+    threads=None,
 ) -> DistanceReport:
-    """Squared prime distance: partials of Σ_{p≤x} (1 − Re f(p) conj(g(p)))/p."""
-    return _weighted_distance("classic", f, g, 1.0, cutoff, checkpoints, sieve,
-                              mode, threads)
+    """Squared prime distance: partials of Σ_{p≤x} (1 − Re f(p) conj(g(p)))/p.
+
+    threads is ignored; it stays only because bench/workloads.py passes it."""
+    return _weighted_distance("classic", f, g, 1.0, cutoff, checkpoints, sieve)
 
 
 def distance_beta(
@@ -161,15 +161,12 @@ def distance_beta(
     cutoff: float,
     checkpoints=None,
     sieve: Optional[SieveIndex] = None,
-    mode: str = SEQUENTIAL,
-    threads: Optional[int] = None,
 ) -> DistanceReport:
     """Squared beta-weighted distance: Σ_{p≤x} (1 − Re f(p) conj(g(p)))/p^β."""
-    return _weighted_distance("beta", f, g, beta, cutoff, checkpoints, sieve,
-                              mode, threads)
+    return _weighted_distance("beta", f, g, beta, cutoff, checkpoints, sieve)
 
 
-def _weighted_distance(kind, f, g, beta, cutoff, checkpoints, sieve, mode, threads):
+def _weighted_distance(kind, f, g, beta, cutoff, checkpoints, sieve):
     # the classic distance is the beta distance at β = 1, without a beta param
     beta = float(beta)
     if not 0.0 < beta <= 1.0:
@@ -188,7 +185,7 @@ def _weighted_distance(kind, f, g, beta, cutoff, checkpoints, sieve, mode, threa
     if kind == "beta":
         params["beta"] = beta
     return _series_report(kind, params, *prime_sums(
-        terms_of, sieve_primes(cutoff, sieve), cutoff, checkpoints, mode, threads))
+        terms_of, sieve_primes(cutoff, sieve), cutoff, checkpoints))
 
 
 def _powers(spec: FunctionSpec, ps: np.ndarray, fp: np.ndarray, k: int):
@@ -221,8 +218,6 @@ def distance_strong(
     cutoff: float,
     checkpoints=None,
     sieve: Optional[SieveIndex] = None,
-    mode: str = SEQUENTIAL,
-    threads: Optional[int] = None,
 ) -> DistanceReport:
     """Strong distance partials: Σ_{p≤x} Σ_{j=1}^k |f(p^j) − g(p^j)|/p^{jβ}.
 
@@ -251,7 +246,7 @@ def distance_strong(
 
     params = {"f": f.name, "g": g.name, "beta": beta, "k": k, "cutoff": cutoff}
     return _series_report("strong-beta-k", params, *prime_sums(
-        terms_of, sieve_primes(cutoff, sieve), cutoff, checkpoints, mode, threads))
+        terms_of, sieve_primes(cutoff, sieve), cutoff, checkpoints))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +386,6 @@ def h_majorant_series(
     N: int,
     power: str = "L2",
     sieve: Optional[SieveIndex] = None,
-    mode: str = SEQUENTIAL,
-    threads: Optional[int] = None,
     checkpoints=None,
 ) -> DistanceReport:
     """Dense majorant partials Σ_{n≤x} |h(n)|^{1 or 2} / n^σ for x up to N."""
@@ -417,7 +410,7 @@ def h_majorant_series(
         mags = ((a, np.abs(v)) for a, v in value_chunks(table, N))
         w = ((mag if power == "L1" else mag * mag)
              / np.arange(a, a + mag.size, dtype=np.float64)**sigma for a, mag in mags)
-        sums = checkpointed_sums(w, positions, mode=mode, threads=threads)
+        sums = checkpointed_sums(w, positions)
     return _series_report("h-L2" if power == "L2" else "h-L1", params, cutoffs, sums)
 
 

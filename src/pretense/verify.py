@@ -1,9 +1,9 @@
 """Named verification bundles behind the `verify` subcommand.
 
 Each bundle runs a fixed list of checks at the declared desk scale and
-returns CheckResult rows.  Outputs contain no timestamps, hostnames, or
-thread counts: identical seeds must give byte-identical artifacts whatever
-the worker count, which is itself one of the checks.
+returns CheckResult rows.  Outputs contain no timestamps or hostnames: a
+bundle's artifacts are a function of its name and seed alone, and that
+`--threads` leaves them byte-identical is itself one of the checks.
 
 A FAIL row is a finding, not a crash: growth-band checks report whatever
 exponent the run measured, and the row text carries the number so a failed
@@ -38,7 +38,6 @@ from .constructions import (
     standard_spec,
 )
 from .core import (
-    BLOCK_PARALLEL,
     COMPLETELY_MULTIPLICATIVE,
     FunctionSpec,
     GENERAL_MULTIPLICATIVE,
@@ -125,7 +124,7 @@ def _fmt(v: float) -> str:
 # ---------------------------------------------------------------------------
 # bundles
 
-def _thm1(seed: int, threads: Optional[int]) -> List[CheckResult]:
+def _thm1(seed: int) -> List[CheckResult]:
     """Quotient arithmetic and the quotient-majorant envelope."""
     out = []
     sv = build_sieve(10**4)
@@ -188,7 +187,7 @@ def _thm1(seed: int, threads: Optional[int]) -> List[CheckResult]:
     return out
 
 
-def _thm2(seed: int, threads: Optional[int]) -> List[CheckResult]:
+def _thm2(seed: int) -> List[CheckResult]:
     """Normalized-sum convolution machinery and series diagnostics."""
     out = []
     sv = build_sieve(10**4)
@@ -200,7 +199,7 @@ def _thm2(seed: int, threads: Optional[int]) -> List[CheckResult]:
     q = solve_quotient(f, g, primes=(2, 3, 5, 7), max_exponent=14)
     ht = evaluate(q.spec, sv)
     hinv_t = evaluate(dirichlet_inverse(q.spec), sv)
-    sf = partial_sums(evaluate(f, sv), grid, mode=BLOCK_PARALLEL, threads=threads)
+    sf = partial_sums(evaluate(f, sv), grid)
     xi = xi_from_sums(sf, 0.5)
     resid = max(
         xi_roundtrip_residual(ht, hinv_t, xi, x)
@@ -258,7 +257,7 @@ def _thm2(seed: int, threads: Optional[int]) -> List[CheckResult]:
     return out
 
 
-def _thm3(seed: int, threads: Optional[int]) -> List[CheckResult]:
+def _thm3(seed: int) -> List[CheckResult]:
     """Determinant route to the quotient, and character-sum cancellation."""
     out = []
 
@@ -296,7 +295,7 @@ def _thm3(seed: int, threads: Optional[int]) -> List[CheckResult]:
             running = float(peaks[-1])
             ok7 = ok7 and running <= qmod
             worst_ratio = max(worst_ratio, running / qmod)
-            fit = growth_fit(PartialSumSeries(grid, s.sums[:-1], s.summation_mode))
+            fit = growth_fit(PartialSumSeries(grid, s.sums[:-1]))
             ok7 = ok7 and fit.exponent < 0.1
             if worst_exp is None or fit.exponent > worst_exp:
                 worst_exp = fit.exponent
@@ -309,7 +308,7 @@ def _thm3(seed: int, threads: Optional[int]) -> List[CheckResult]:
     return out
 
 
-def _thm4(seed: int, threads: Optional[int]) -> List[CheckResult]:
+def _thm4(seed: int) -> List[CheckResult]:
     """Degree-d membership machinery and the degree-2 growth harness."""
     out = []
     rng = np.random.default_rng(seed)
@@ -381,10 +380,8 @@ def _thm4(seed: int, threads: Optional[int]) -> List[CheckResult]:
     g2 = degree_d_spec([sparse_dyadic(chi4, [2, 3]), chi3])
     sv7 = build_sieve(10**7)
     grid7 = geometric_checkpoints(10**4, 10**7)
-    fit_f = growth_fit(partial_sums(
-        evaluate(f2, sv7), grid7, mode=BLOCK_PARALLEL, threads=threads))
-    fit_g = growth_fit(partial_sums(
-        evaluate(g2, sv7), grid7, mode=BLOCK_PARALLEL, threads=threads))
+    fit_f = growth_fit(partial_sums(evaluate(f2, sv7), grid7))
+    fit_g = growth_fit(partial_sums(evaluate(g2, sv7), grid7))
     bound = max(fit_f.exponent, beta) + 0.1
     out.append(CheckResult(
         "thm4", "degree2-growth",
@@ -395,7 +392,7 @@ def _thm4(seed: int, threads: Optional[int]) -> List[CheckResult]:
     return out
 
 
-def _remark1(seed: int, threads: Optional[int]) -> List[CheckResult]:
+def _remark1(seed: int) -> List[CheckResult]:
     """The exactly solvable quotient with exponentially growing local values."""
     out = []
     alt = _alternating_spec()
@@ -467,7 +464,7 @@ def twisted_growth_row(fit: GrowthFit, grid) -> CheckResult:
     )
 
 
-def _counterexample(seed: int, threads: Optional[int]) -> List[CheckResult]:
+def _counterexample(seed: int) -> List[CheckResult]:
     """Sparse-interval flooding and the calibrated-twist growth probe.
 
     Criterion 10 twists chi4, the real character mod 4, whose partial sums
@@ -492,8 +489,7 @@ def _counterexample(seed: int, threads: Optional[int]) -> List[CheckResult]:
     # criterion 9
     chi4 = dirichlet_character(4, 1)
     f = sparse_dyadic(chi4, [3, 4])
-    dist = distance_classic(f, chi4, 10**7, sieve=sv7,
-                            mode=BLOCK_PARALLEL, threads=threads)
+    dist = distance_classic(f, chi4, 10**7, sieve=sv7)
     x9 = float(2**17)
     table = evaluate(f, sv7, 2**17)
     s_at = complex(partial_sums(table, [x9]).sums[0])
@@ -509,8 +505,7 @@ def _counterexample(seed: int, threads: Optional[int]) -> List[CheckResult]:
     # criterion 10
     g = optimality_twist(chi4, beta=0.5, diagnostics_cutoff=10**7, sieve=sv7)
     grid_slope = geometric_checkpoints(10**3, 10**7)
-    rep_a = distance_beta(chi4, g, 0.5, 10**7, checkpoints=grid_slope, sieve=sv7,
-                          mode=BLOCK_PARALLEL, threads=threads)
+    rep_a = distance_beta(chi4, g, 0.5, 10**7, checkpoints=grid_slope, sieve=sv7)
     out.append(twist_distance_row(rep_a.cutoffs, rep_a.partials))
 
     pp = phase_sum_partials(chi4, tau=1.0, cutoff=10**7,
@@ -525,14 +520,12 @@ def _counterexample(seed: int, threads: Optional[int]) -> List[CheckResult]:
     ))
 
     grid_c = geometric_checkpoints(10**4, 10**7)
-    fit_g = growth_fit(partial_sums(
-        evaluate(g, sv7), grid_c, mode=BLOCK_PARALLEL, threads=threads,
-    ))
+    fit_g = growth_fit(partial_sums(evaluate(g, sv7), grid_c))
     out.append(twisted_growth_row(fit_g, grid_c))
     return out
 
 
-def _squarefree(seed: int, threads: Optional[int]) -> List[CheckResult]:
+def _squarefree(seed: int) -> List[CheckResult]:
     """Squarefree restriction: growth band and the exact local quotient.
 
     For a real nonprincipal character chi, Σ μ²(n)chi(n) n^{-s} =
@@ -587,15 +580,13 @@ BUNDLES: dict = {
 }
 
 
-def run_bundle(
-    name: str, seed: int = DEFAULT_SEED, threads: Optional[int] = None
-) -> List[CheckResult]:
+def run_bundle(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     fn: Optional[Callable] = BUNDLES.get(name)
     if fn is None:
         raise InvalidArgumentError(
             f"unknown bundle {name!r}; choose from {sorted(BUNDLES)}"
         )
-    return fn(int(seed), threads)
+    return fn(int(seed))
 
 
 def bundle_json(name: str, seed: int, results: List[CheckResult]) -> str:

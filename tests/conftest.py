@@ -67,7 +67,7 @@ def bundle_results():
             import time
 
             t0 = time.time()
-            cache[name] = run_bundle(name, seed=1729, threads=2)
+            cache[name] = run_bundle(name, seed=1729)
             times[name] = time.time() - t0
         return cache[name], times[name]
 

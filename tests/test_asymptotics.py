@@ -43,7 +43,6 @@ def _synthetic_series(exponent, npts=20, scale=1.0):
     return PartialSumSeries(
         checkpoints=x,
         sums=(scale * x**exponent).astype(complex),
-        summation_mode="compensated-sequential",
     )
 
 
@@ -67,7 +66,6 @@ def test_growth_fit_drops_tiny_sums_and_degenerates():
     s = PartialSumSeries(
         checkpoints=x,
         sums=np.array([0.0, 0.0, 0.0, 1.0], dtype=complex),
-        summation_mode="compensated-sequential",
     )
     with pytest.raises(DegenerateFitError):
         growth_fit(s)
@@ -90,8 +88,7 @@ def test_running_max_fit_matches_brute_running_max(sieve_1e4):
         best = max(best, abs(s))
         if n in grid:
             brute.append(best)
-    want = growth_fit(PartialSumSeries(
-        checkpoints=grid, sums=np.array(brute), summation_mode="brute"))
+    want = growth_fit(PartialSumSeries(checkpoints=grid, sums=np.array(brute)))
     assert running_max_fit(table, grid).exponent == pytest.approx(want.exponent)
 
 

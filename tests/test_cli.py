@@ -378,6 +378,9 @@ def _nested_descriptor(depth: int) -> str:
      "'degree-d' descriptor field 'constituents' is invalid: 5"),
     ('{"construction":"tabulated","values":[[2,1]]}',
      "'tabulated' descriptor field 'values' is invalid: [[2, 1]]"),
+    ('{"construction":"tabulated","bounded_by_one":true,'
+     '"values":[[2,1,0.5,0],[4,1,9,0]]}',
+     "'tabulated' row (p=4, k=1) is never read: need a prime p and k >= 1"),
     # deeper than the recursion limit of spec_from_descriptor, then of json.loads
     pytest.param(_nested_descriptor(600), "descriptor nested too deeply", id="nested-600"),
     pytest.param(_nested_descriptor(3000), "descriptor nested too deeply", id="nested-3000"),
@@ -408,17 +411,22 @@ def test_unparsable_checkpoints_give_one_error_line(capsys, cps):
 
 
 def test_thread_count_errors_give_one_error_line(capsys, monkeypatch):
+    # --threads and PRETENSE_THREADS select nothing, but each is checked
     monkeypatch.delenv("PRETENSE_THREADS", raising=False)
     for argv in (["verify", "remark1", "--threads", "0"],
-                 ["sums", "--spec", "one", "--N", "100", "--threads", "-1"]):
+                 ["sums", "--spec", "one", "--N", "100", "--threads", "-1"],
+                 ["distance", "--spec", "one", "--spec2", "one", "--N", "100",
+                  "--threads", "-2"]):
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: thread count")
-    for env in ("abc", "0"):
+        assert err == [f"error: thread count must be >= 1, got {argv[-1]}"]
+    for env, line in (("abc", "must be an integer >= 1, got 'abc'"),
+                      ("0", "must be >= 1, got 0"),
+                      ("1.5", "must be an integer >= 1, got '1.5'")):
         monkeypatch.setenv("PRETENSE_THREADS", env)
         assert main(["verify", "thm2"]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: PRETENSE_THREADS")
+        assert err == [f"error: PRETENSE_THREADS {line}"]
 
 
 @pytest.mark.parametrize("argv, err", [

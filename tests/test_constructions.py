@@ -534,6 +534,17 @@ def test_tabulated_cm_table_lists_primes_only():
     assert spec.value(2, 3) == 0.125
 
 
+def test_tabulated_rows_that_no_query_reads_are_rejected():
+    rows = {(2, 1): 0.5, (3, 1): 1.0, (2, 2): 0.25}
+    assert tabulated_spec(rows).value(2, 2) == 0.25
+    for bad in ((2, 0), (2, -1), (0, 1), (1, 1), (4, 1), (-3, 1), (9, 2)):
+        with pytest.raises(InvalidArgumentError, match=rf"row \(p={bad[0]}, k={bad[1]}\)"):
+            tabulated_spec({**rows, bad: 7.0})
+    # a row off the primes would have passed the unit-disc claim unread
+    with pytest.raises(InvalidArgumentError, match=r"p=4, k=1"):
+        tabulated_spec({(2, 1): 0.5, (4, 1): 9.0}, bounded_by_one=True)
+
+
 def test_sparse_dyadic_caps_the_exponent():
     with pytest.raises(InvalidArgumentError, match=r"\[0, 5\]"):
         sparse_dyadic(standard_spec("one"), [40])

@@ -16,7 +16,6 @@ from pretense import asymptotics, core, metrics
 from pretense.core import (
     BLOCK_PARALLEL,
     COMPLETELY_MULTIPLICATIVE,
-    SEQUENTIAL,
     FunctionSpec,
     GENERAL_MULTIPLICATIVE,
     build_sieve,
@@ -524,23 +523,6 @@ def test_value_at_exponent_zero_is_one():
     assert spec.value(7, 0) == 1.0
 
 
-@given(
-    st.lists(
-        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-        min_size=1,
-        max_size=400,
-    ),
-    st.integers(min_value=1, max_value=7),
-)
-@settings(max_examples=60, deadline=None)
-def test_block_parallel_bitwise_equals_sequential(values, threads):
-    terms = np.array(values, dtype=np.complex128)
-    pos = np.arange(1, len(terms) + 1)
-    a = checkpointed_sums(terms, pos, mode=SEQUENTIAL)
-    b = checkpointed_sums(terms, pos, mode=BLOCK_PARALLEL, threads=threads)
-    assert a.tobytes() == b.tobytes()
-
-
 def test_checkpointed_sums_against_fsum():
     rng = np.random.default_rng(5)
     terms = (rng.normal(size=3000) + 1j * rng.normal(size=3000)) * 1e6
@@ -561,7 +543,7 @@ def test_checkpointed_sums_against_fsum():
     st.lists(st.integers(min_value=0, max_value=300), max_size=12),
 )
 @settings(max_examples=40, deadline=None)
-def test_sums_do_not_depend_on_block_mode_or_threads(values, extra):
+def test_sums_do_not_depend_on_block(values, extra):
     # checkpoints at 0, at every chunk edge of each block size and one term
     # either side of it, plus drawn (possibly repeated) positions
     terms = np.array(values, dtype=np.complex128)
@@ -576,12 +558,8 @@ def test_sums_do_not_depend_on_block_mode_or_threads(values, extra):
     for b in blocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "BLOCK", b)
-            for mode, threads in (
-                (SEQUENTIAL, None), (SEQUENTIAL, 3),
-                (BLOCK_PARALLEL, 1), (BLOCK_PARALLEL, 2), (BLOCK_PARALLEL, 7),
-            ):
-                got = checkpointed_sums(terms, pos, mode=mode, threads=threads)
-                assert got.tobytes() == want.tobytes(), (b, mode, threads)
+            got = checkpointed_sums(terms, pos)
+        assert got.tobytes() == want.tobytes(), b
 
 
 def _within_sum2_bound(prefixes, part) -> bool:
@@ -629,17 +607,6 @@ def test_sum2_bound_rejects_plain_cumsum():
     got = checkpointed_sums(terms.astype(np.complex128), np.arange(1, 5))
     assert got[-1] == 2.0
     assert _within_sum2_bound(got.real, terms)
-
-
-def test_thread_count_validation(monkeypatch):
-    terms = np.ones(10, dtype=np.complex128)
-    for threads in (0, -2):
-        with pytest.raises(InvalidArgumentError, match="thread count"):
-            checkpointed_sums(terms, [10], mode=BLOCK_PARALLEL, threads=threads)
-    for env in ("abc", "0", "1.5"):
-        monkeypatch.setenv("PRETENSE_THREADS", env)
-        with pytest.raises(InvalidArgumentError, match="PRETENSE_THREADS"):
-            checkpointed_sums(terms, [10], mode=BLOCK_PARALLEL)
 
 
 def test_partial_sums_positions_are_term_counts(sieve_1e4):
@@ -716,13 +683,70 @@ def test_table_csv_and_series_roundtrip(sieve_1e4):
     assert np.array_equal(back.sums, s.sums)
 
 
-def test_threads_env_fallback(monkeypatch, sieve_1e4):
-    t = evaluate(standard_spec("one"), sieve_1e4, 1000)
+def test_thread_count_validation(monkeypatch):
+    # the CLI checks --threads, or else PRETENSE_THREADS, before any command runs
+    from pretense.cli import _check_threads
+
+    monkeypatch.delenv("PRETENSE_THREADS", raising=False)
+    _check_threads(None)
+    _check_threads(1)
+    for threads in (0, -2):
+        with pytest.raises(InvalidArgumentError, match="thread count"):
+            _check_threads(threads)
+    for env in ("abc", "0", "1.5"):
+        monkeypatch.setenv("PRETENSE_THREADS", env)
+        with pytest.raises(InvalidArgumentError, match="PRETENSE_THREADS"):
+            _check_threads(None)
     monkeypatch.setenv("PRETENSE_THREADS", "3")
-    a = partial_sums(t, np.array([1000.0]), mode=BLOCK_PARALLEL, threads=None)
-    monkeypatch.setenv("PRETENSE_THREADS", "1")
-    b = partial_sums(t, np.array([1000.0]), mode=BLOCK_PARALLEL, threads=None)
-    assert a.sums.tobytes() == b.sums.tobytes()
+    _check_threads(None)
+
+
+def test_threads_env_fallback(monkeypatch, sieve_1e4):
+    # the library reads no PRETENSE_THREADS, not even one the CLI rejects;
+    # the mode and threads that the benchmark passes change no bit
+    t = evaluate(standard_spec("one"), sieve_1e4, 1000)
+    monkeypatch.delenv("PRETENSE_THREADS", raising=False)
+    want = partial_sums(t, np.array([1000.0])).sums.tobytes()
+    for env in ("3", "1", "abc", "0"):
+        monkeypatch.setenv("PRETENSE_THREADS", env)
+        got = partial_sums(t, np.array([1000.0]), mode=BLOCK_PARALLEL, threads=None)
+        assert got.sums.tobytes() == want, env
+
+
+def _public_signatures():
+    """{module.name: signature} of every public function and class, but the
+    errors, that a pretense module defines."""
+    import importlib
+    import pkgutil
+
+    import pretense
+
+    sigs = {}
+    for info in pkgutil.iter_modules(pretense.__path__):
+        mod = importlib.import_module(f"pretense.{info.name}")
+        for name, obj in vars(mod).items():
+            if (not name.startswith("_") and callable(obj)
+                    and getattr(obj, "__module__", None) == mod.__name__
+                    and not (isinstance(obj, type) and issubclass(obj, Exception))):
+                sigs[f"{info.name}.{name}"] = inspect.signature(obj)
+    return sigs
+
+
+def test_only_the_benchmark_entry_points_take_threads_or_a_summation_mode():
+    # every sum runs one path: partial_sums and distance_classic keep ignored
+    # keywords for bench/workloads.py, and xi's lookup mode is a real choice
+    sigs = _public_signatures()
+    takes = lambda param: {n for n, sig in sigs.items() if param in sig.parameters}
+    assert takes("threads") == {"core.partial_sums", "metrics.distance_classic"}
+    assert takes("mode") == {"core.partial_sums", "asymptotics.xi_lookup",
+                             "asymptotics.xi_tilde", "asymptotics.xi_roundtrip_residual"}
+    assert takes("summation_mode") == set()
+    for name, param in (("core.partial_sums", "mode"), ("core.partial_sums", "threads"),
+                        ("metrics.distance_classic", "threads")):
+        p = sigs[name].parameters[param]
+        assert p.kind is inspect.Parameter.KEYWORD_ONLY and p.default is None, name
+    assert "ratio" not in sigs["core.geometric_checkpoints"].parameters
+    assert "tail_terms" not in sigs["degree.degreedist_extension_check"].parameters
 
 
 # ---------------------------------------------------------------------------

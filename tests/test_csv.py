@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from pretense import core
 from pretense.core import (
     PartialSumSeries,
-    SEQUENTIAL,
     csv_chunks,
     read_series_csv,
     series_csv,
@@ -131,7 +130,7 @@ def test_abs_column_is_abs_complex(re, im):
 def test_overflowing_modulus_raises():
     with pytest.raises(OverflowError, match="absolute value too large"):
         series_csv(PartialSumSeries(np.array([1.0, 2.0]),
-                                    _complex([1.0, 1.5e308], [0.0, 1.5e308]), SEQUENTIAL))
+                                    _complex([1.0, 1.5e308], [0.0, 1.5e308])))
     # an infinite part is not an overflow: abs gives inf
     assert _write([1.0], _complex([math.inf], [1.0])).endswith("1,inf,1,inf\n")
 
@@ -152,7 +151,7 @@ def test_read_inverts_write(rows, block):
     xs = np.array([r[0] for r in rows], dtype=np.float64)
     re = np.array([r[1] for r in rows], dtype=np.float64)
     im = np.array([r[2] for r in rows], dtype=np.float64)
-    series = PartialSumSeries(xs, _complex(re, im), SEQUENTIAL)
+    series = PartialSumSeries(xs, _complex(re, im))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "BLOCK", block)
         try:
