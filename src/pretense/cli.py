@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from configparser import RawConfigParser
+from configparser import Error as ConfigError, RawConfigParser
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from io import StringIO
@@ -257,7 +257,10 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.loads(Path(path).read_text())
+        try:
+            return cls.loads(Path(path).read_text())
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise InvalidArgumentError(f"config {path}: {' '.join(str(exc).split())}") from None
 
     def dumps(self) -> str:
         cp = RawConfigParser(delimiters=("=",))

@@ -64,7 +64,7 @@ def standard_spec(name: str) -> FunctionSpec:
             name="moebius",
             kind=GENERAL_MULTIPLICATIVE,
             prime_values=lambda ps: np.full(ps.shape, -1.0, dtype=np.complex128),
-            powers=lambda p, k: 0.0,
+            powers=lambda p, c, k: [0.0] * (k + 1 - len(c)),
             bounded_by_one=True,
             params={"construction": "moebius"},
         )
@@ -483,7 +483,7 @@ def squarefree_restrict(f: FunctionSpec) -> FunctionSpec:
         name=f"sqfree({f.name})",
         kind=GENERAL_MULTIPLICATIVE,
         prime_values=f.prime_values,
-        powers=lambda p, k: 0.0,
+        powers=lambda p, c, k: [0.0] * (k + 1 - len(c)),
         bounded_by_one=f.bounded_by_one,
         params={"construction": "squarefree-restrict", "base": spec_descriptor(f)},
     )
@@ -502,24 +502,27 @@ def tabulated_spec(
 
     The k = 1 rows are the prime map.  A completely multiplicative table may
     list k = 1 only: its higher powers are derived.  A row that no query can
-    read, at k < 1 or at a p that is not prime, is an error.
+    read (k < 1, p not prime, or no (p, k - 1) row) is an error.
     """
     table = {(int(p), int(k)): complex(v) for (p, k), v in values.items()}
     for p, k in table:
         if k < 1 or not is_prime(p):
             raise InvalidArgumentError(
                 f"{name!r} row (p={p}, k={k}) is never read: need a prime p and k >= 1")
+        if k > 1 and (p, k - 1) not in table:
+            raise InvalidArgumentError(
+                f"{name!r} row (p={p}, k={k}) is never read: no row (p={p}, k={k - 1})")
     if kind == COMPLETELY_MULTIPLICATIVE and any(k != 1 for _, k in table):
         raise InvalidArgumentError(f"a {kind} table may list k = 1 only")
     firsts = sorted((p, v) for (p, k), v in table.items() if k == 1)
     primes = np.array([p for p, _ in firsts], dtype=np.int64)
     vals = np.array([v for _, v in firsts], dtype=np.complex128)
 
-    def powers(p, k):
-        try:
-            return table[(int(p), int(k))]
-        except KeyError:
-            raise RuleError(f"value of {name!r} not tabulated at (p={p}, k={k})")
+    def powers(p, c, k):
+        for j in range(len(c), k + 1):
+            if (p, j) not in table:
+                raise RuleError(f"value of {name!r} not tabulated at (p={p}, k={j})")
+        return [table[(p, j)] for j in range(len(c), k + 1)]
 
     return FunctionSpec(
         name=name,

@@ -34,10 +34,11 @@ neither the cofactor nor anything besides the table, and its values are
 the period's to the bit.
 
 A FunctionSpec keeps one store per prime, [f(p^0), ..., f(p^j)], filled in
-exponent order through one checked path; value, evaluate and every local
-recursion of dirichlet and degree read it.  f(p) enters it one prime at a
-time or from a checked batch of the elementwise prime map (remember_primes),
-with the same bits.
+exponent order by one checked path, _extend, which hands powers(p, c, k)
+the store so far; value, evaluate and every local recursion read it.  f(p)
+enters it one prime at a time or from a checked batch of the elementwise
+prime map (remember_primes), with the same bits.  power_table(ps, k) gives
+f(p^j) at many primes with those bits and keeps nothing.
 
 Every prefix sum S(x) comes from one kernel, _sum2_chunks: the Sum2 prefix of
 Ogita, Rump and Oishi ("Accurate sum and dot product", SISC 2005), as accurate
@@ -118,28 +119,28 @@ class FunctionSpec:
     prime_values(ps) is the only f(p), for an int64 array of primes, and
     must be elementwise: f(p) may not depend on the other entries of ps or
     on their number, so a batch gives each prime the bits of a call on that
-    prime alone.  powers gives f(p^k) for k >= 2 and is None exactly for
-    completely multiplicative kinds, where rule() gives f(p^k) =
-    f(p^{k-1})·f(p).  powers may read the store of this or any other spec
-    through local(); the quotients and inverses of dirichlet read their own.
+    prime alone.  powers(p, c, k) returns [f(p^j), ..., f(p^k)] given the
+    store c = [f(p^0), ..., f(p^{j-1})], j >= 2, which it never changes, and
+    reads no other store of its own spec; it is None exactly for completely
+    multiplicative kinds, where f(p^k) = f(p^{k-1})·f(p).
 
     period, when given, is f(0), ..., f(q - 1) of a completely multiplicative
     f of period q, as complex128 (Dirichlet and Kronecker characters set
     it), and is then the one source of every value: the prime map reads
-    period[ps % q], rule() reads f(p^k) = period[p^k mod q] and evaluate
+    period[ps % q], _extend reads f(p^k) = period[p^k mod q] and evaluate
     tiles it.  __post_init__ rejects it on any other kind, and under
     bounded_by_one an entry off the unit disc, and makes it read-only.
 
     _cache holds, under the key p, the store [f(p^0), ..., f(p^j)] that
-    local() fills in exponent order, so value(p, k) fails where any lower
-    exponent fails; and the determinants D_f(·, p) and recursion weights
-    alpha(p) that dirichlet and degree keep there.
+    local() fills in exponent order (_extend), so value(p, k) fails where any
+    lower exponent fails; and the determinants D_f(·, p) and recursion
+    weights alpha(p) that dirichlet and degree keep there.
     """
 
     name: str
     kind: str
     prime_values: Callable[[np.ndarray], np.ndarray]
-    powers: Optional[Callable[[int, int], complex]] = None
+    powers: Optional[Callable[[int, list, int], list]] = None
     bounded_by_one: bool = False
     degree: Optional[int] = None
     constituents: Optional[tuple] = None
@@ -173,21 +174,6 @@ class FunctionSpec:
                 )
         period.flags.writeable = False
 
-    def rule(self, p: int, k: int) -> complex:
-        """f(p^k), k >= 1, unchecked and not kept: f(p) from the prime map,
-        f(p^k), k >= 2, of a periodic spec from its period, and other
-        completely multiplicative powers f(p^{k-1})·f(p) from the store,
-        multiplying 1-element arrays (numpy may fuse multiply-adds where
-        Python won't, and tables keep numpy's bits)."""
-        if k == 1:
-            return complex(self.prime_values(np.array([p], dtype=np.int64))[0])
-        if self.period is not None:
-            return self.period[pow(p, k, self.period.size)]
-        if self.powers is None:
-            c = self.local(p, k - 1)
-            return np.multiply([c[k - 1]], [c[1]])[0]
-        return self.powers(p, k)
-
     def remember_primes(self, ps: np.ndarray) -> None:
         """Store f(p) for the int64 array of primes ps from one checked batch
         of the prime map (prime_values_of), with the bits of one call per
@@ -200,35 +186,82 @@ class FunctionSpec:
         for p, v in zip(ps.tolist(), got):
             self._cache.setdefault(p, [1.0 + 0.0j, v])
 
-    def local(self, p: int, k: int) -> list:
-        """The store [f(p^0), ..., f(p^j)], j >= k, filled in exponent order
-        by rule() behind the RuleError wrap and the unit-disc check of
-        bounded_by_one.  Callers read it and never change it."""
-        c = self._cache.get(p)
-        if c is None:
-            c = self._cache[p] = [1.0 + 0.0j]
+    def _extend(self, p: int, c: list, k: int) -> list:
+        """c = [f(p^0), ..., f(p^{j-1})] extended to exponent k: f(p) from the
+        prime map, then the period at p^j mod q, f(p^{j-1})·f(p) as 1-element
+        arrays (numpy may fuse multiply-adds where Python won't, and tables
+        keep numpy's bits) or powers(p, c, k).  A step that raises, or leaves
+        the unit disc under bounded_by_one, appends nothing."""
         while len(c) <= k:
             j = len(c)
             try:
-                v = complex(self.rule(p, j))
+                if j == 1:
+                    new = [self.prime_values(np.array([p], dtype=np.int64))[0]]
+                elif self.period is not None:
+                    new = [self.period[pow(p, i, self.period.size)] for i in range(j, k + 1)]
+                elif self.powers is None:
+                    new = np.multiply([c[-1]], [c[1]])
+                else:
+                    new = self.powers(p, c, k)
+                    if len(new) != k + 1 - j:
+                        raise ValueError(f"powers gave {len(new)} values for k={j}..{k}")
+                new = [complex(v) for v in new]
             except PretenseError:
                 raise
             except Exception as exc:
                 raise RuleError(
                     f"rule of spec {self.name!r} failed at (p={p}, k={j}): {exc}"
                 ) from exc
-            if self.bounded_by_one and abs(v) > 1.0 + UNIT_DISC_TOL:
-                raise InvalidArgumentError(
-                    f"spec {self.name!r} claims |f| <= 1 but |f({p}^{j})| = {abs(v)}"
-                )
-            c.append(v)
+            if self.bounded_by_one:
+                for i, v in enumerate(new, j):
+                    if abs(v) > 1.0 + UNIT_DISC_TOL:
+                        raise InvalidArgumentError(
+                            f"spec {self.name!r} claims |f| <= 1 but |f({p}^{i})| = {abs(v)}")
+            c.extend(new)
         return c
+
+    def local(self, p: int, k: int) -> list:
+        """The store [f(p^0), ..., f(p^j)] of p, j >= k, extended by _extend.
+        Callers read it and never change it."""
+        c = self._cache.get(p)
+        if c is None:
+            c = self._cache[p] = [1.0 + 0.0j]
+        return c if len(c) > k else self._extend(p, c, k)
 
     def value(self, p: int, k: int) -> complex:
         """f(p^k), k >= 0, read from the store."""
         if k < 0:
             raise InvalidArgumentError(f"negative exponent k={k}")
         return self.local(p, k)[k]
+
+    rule = value  # the name bench/ reads values by
+
+    def power_table(self, ps: np.ndarray, k: int) -> np.ndarray:
+        """complex128 rows t[j] = f(p^j), 0 <= j <= k, k >= 1, at the int64
+        primes ps, with the bits of value(), keeping nothing: t[1] from one
+        checked batch of the prime map, then a period at int64 residues
+        p^j mod q, t[j-1]·t[1] as a fresh product of contiguous rows (out= or
+        a strided operand rounds differently), or each prime's store or a
+        copy of it, seeded [1+0j, f(p)], extended by _extend."""
+        t = np.empty((k + 1, ps.size), dtype=np.complex128)
+        t[0] = 1.0
+        t[1] = prime_values_of(self, ps)
+        if self.period is not None:
+            q = self.period.size
+            r = r1 = ps % q
+            for j in range(2, k + 1):
+                r = r * r1 % q
+                t[j] = self.period[r]
+        elif self.powers is None:
+            for j in range(2, k + 1):
+                t[j] = t[j - 1] * t[1]
+        else:
+            for i, (p, fp) in enumerate(zip(ps.tolist(), t[1].tolist())):
+                c = self._cache.get(p, ())
+                if len(c) <= k:
+                    c = self._extend(p, list(c) if len(c) > 1 else [1.0 + 0.0j, fp], k)
+                t[2:, i] = c[2 : k + 1]
+        return t
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    BLOCK,
     COMPLETELY_MULTIPLICATIVE,
     DEGREE_D_COMPOSITE,
     GENERAL_MULTIPLICATIVE,
@@ -139,7 +140,7 @@ def degree_d_spec(constituents: Sequence[FunctionSpec]) -> FunctionSpec:
         name=f"deg{d}({','.join(c.name for c in cs)})",
         kind=DEGREE_D_COMPOSITE,
         prime_values=prime_values,
-        powers=lambda p, k: q_poly(k, np.array([c.value(p, 1) for c in cs])),
+        powers=lambda p, c, k: q_all(k, [x.value(p, 1) for x in cs])[len(c):].tolist(),
         bounded_by_one=(d == 1),
         degree=d,
         constituents=cs,
@@ -191,8 +192,9 @@ def recursion_residual(f: FunctionSpec, p: int, n: int) -> float:
 
 
 def perturbed_member(f: FunctionSpec, p: int, k: int, eps: complex) -> FunctionSpec:
-    """Copy of f with f(p^k) shifted by eps but the same declared degree:
-    a deliberate non-member used to show the recursion check has teeth."""
+    """Copy of f with f(p^k) shifted by eps but the same declared degree: a
+    general multiplicative non-member, without f's constituents, used to
+    show the recursion check has teeth."""
     p = int(p)
     k = int(k)
     if k < 1:
@@ -204,20 +206,19 @@ def perturbed_member(f: FunctionSpec, p: int, k: int, eps: complex) -> FunctionS
             out[ps == p] += eps
         return out
 
-    def powers(pp, kk):
-        v = f.value(int(pp), int(kk))
-        if int(pp) == p and int(kk) == k:
-            v = v + eps
-        return v
+    def powers(pp, c, kk):
+        vs = f.local(pp, kk)[len(c) : kk + 1]
+        if pp == p and len(c) <= k <= kk:
+            vs[k - len(c)] += eps
+        return vs
 
     return FunctionSpec(
         name=f"perturbed({f.name},p={p},k={k})",
-        kind=GENERAL_MULTIPLICATIVE if f.kind == COMPLETELY_MULTIPLICATIVE else f.kind,
+        kind=GENERAL_MULTIPLICATIVE,
         prime_values=prime_values,
         powers=powers,
         bounded_by_one=False,
         degree=f.degree,
-        constituents=f.constituents,
     )
 
 
@@ -268,26 +269,22 @@ def degreedist_extension_check(
     rows = []
     violations = []
     sup = None
-    for p in sieve_primes(cutoff, sieve):
-        p = int(p)
-        if f.constituents is not None and g.constituents is not None:
-            fq = q_all(kmax, [c.value(p, 1) for c in f.constituents])
-            gq = q_all(kmax, [c.value(p, 1) for c in g.constituents])
-        else:
-            fq = np.array(f.local(p, kmax)[: kmax + 1])
-            gq = np.array(g.local(p, kmax)[: kmax + 1])
-        w = np.abs(fq - gq) / float(p) ** (beta * np.arange(kmax + 1))
-        head = float(np.sum(w[1 : d + 1]))
-        tail = float(np.sum(w[d + 1 :]))
-        if head == 0.0:
-            if tail > 1e-12:
-                violations.append(p)
-                rows.append(ExtensionRow(p, head, tail, None))
-            continue
-        ratio = tail / head
-        rows.append(ExtensionRow(p, head, tail, ratio))
-        if p >= p_min and (sup is None or ratio > sup):
-            sup = ratio
+    ps = sieve_primes(cutoff, sieve)
+    for a in range(0, ps.size, BLOCK):
+        s = ps[a : a + BLOCK]
+        for p, fq, gq in zip(s.tolist(), f.power_table(s, kmax).T, g.power_table(s, kmax).T):
+            w = np.abs(fq - gq) / float(p) ** (beta * np.arange(kmax + 1))
+            head = float(np.sum(w[1 : d + 1]))
+            tail = float(np.sum(w[d + 1 :]))
+            if head == 0.0:
+                if tail > 1e-12:
+                    violations.append(p)
+                    rows.append(ExtensionRow(p, head, tail, None))
+                continue
+            ratio = tail / head
+            rows.append(ExtensionRow(p, head, tail, ratio))
+            if p >= p_min and (sup is None or ratio > sup):
+                sup = ratio
     return ExtensionReport(
         beta=beta,
         degree=d,

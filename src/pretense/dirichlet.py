@@ -13,8 +13,9 @@ paths are kept separate so they can check each other.
 
 Every recursion reads f(p^0), ..., f(p^K) from the spec's store per prime
 (FunctionSpec.local); a quotient's or an inverse's powers solve its next
-exponent from its own store.  D_f(0..k, p) are kept per (f, p) and extended
-when a higher order is asked, with the same bits.
+exponents from the lower ones they are handed (_solve).  D_f(0..k, p) are
+kept per (f, p) and extended when a higher order is asked, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -111,14 +112,26 @@ class QuotientSpec:
         raise InvalidArgumentError(f"prime {p} not in the precomputed table")
 
 
+def _solve(fs: list, gs: Optional[list], c: list, k: int) -> list:
+    """[h(p^j), ..., h(p^k)], j = len(c), from h(p^m) = g(p^m) − Σ_{i<m}
+    f(p^{m−i}) h(p^i) and the lower h(p^i) in c; g is δ when gs is None."""
+    h = list(c)
+    for m in range(len(c), k + 1):
+        acc = 0.0 + 0.0j if gs is None else gs[m]
+        for i in range(m):
+            acc -= fs[m - i] * h[i]
+        h.append(acc)
+    return h[len(c):]
+
+
 def solve_quotient(
     f: FunctionSpec, g: FunctionSpec, primes: Iterable[int], max_exponent: int
 ) -> QuotientSpec:
     """Solve g = f ∗ h for h on the given primes up to p^max_exponent.
 
     The returned spec is not restricted to `primes`: its powers solve
-    h(p^m) = g(p^m) − Σ_{j<m} f(p^{m−j}) h(p^j) at any prime, from its own
-    store, which is what dense evaluation of h needs.
+    h(p^m) = g(p^m) − Σ_{j<m} f(p^{m−j}) h(p^j) at any prime, from the
+    store they are handed, which is what dense evaluation of h needs.
     """
     plist = sorted({int(p) for p in primes})
     if not plist:
@@ -130,18 +143,11 @@ def solve_quotient(
     if K < 1:
         raise InvalidArgumentError(f"max exponent must be >= 1, got {K}")
 
-    def powers(p, m):
-        fs, h = f.local(p, m), spec.local(p, m - 1)
-        acc = g.value(p, m)
-        for j in range(m):
-            acc -= fs[m - j] * h[j]
-        return acc
-
     spec = FunctionSpec(
         name=f"({g.name}/{f.name})",
         kind=GENERAL_MULTIPLICATIVE,
         prime_values=lambda ps: prime_values_of(g, ps) - prime_values_of(f, ps),
-        powers=powers,
+        powers=lambda p, c, k: _solve(f.local(p, k), g.local(p, k), c, k),
     )
     spec.remember_primes(np.array(plist, dtype=np.int64))
     local = []
@@ -171,29 +177,20 @@ def dirichlet_inverse(h: FunctionSpec) -> FunctionSpec:
 
     Well defined because every FunctionSpec has value(p, 0) = 1, i.e. h(1) = 1.
     """
-
-    def powers(p, m):
-        hs, c = h.local(p, m), inv.local(p, m - 1)
-        acc = 0.0 + 0.0j
-        for j in range(m):
-            acc -= hs[m - j] * c[j]
-        return acc
-
-    inv = FunctionSpec(
+    return FunctionSpec(
         name=f"inv({h.name})",
         kind=GENERAL_MULTIPLICATIVE,
         prime_values=lambda ps: -prime_values_of(h, ps),
-        powers=powers,
+        powers=lambda p, c, k: _solve(h.local(p, k), None, c, k),
     )
-    return inv
 
 
 def convolve_spec(f: FunctionSpec, h: FunctionSpec) -> FunctionSpec:
     """Rule-level Dirichlet convolution, (f ∗ h)(p^k) = Σ_j f(p^j) h(p^{k−j})."""
 
-    def powers(p, k):
+    def powers(p, c, k):
         fs, hs = f.local(p, k), h.local(p, k)
-        return sum(fs[j] * hs[k - j] for j in range(k + 1))
+        return [sum(fs[j] * hs[m - j] for j in range(m + 1)) for m in range(len(c), k + 1)]
 
     return FunctionSpec(
         name=f"({f.name} * {h.name})",

@@ -188,28 +188,6 @@ def _weighted_distance(kind, f, g, beta, cutoff, checkpoints, sieve):
         terms_of, sieve_primes(cutoff, sieve), cutoff, checkpoints))
 
 
-def _powers(spec: FunctionSpec, ps: np.ndarray, fp: np.ndarray, k: int):
-    """Yield f(p^j) at the primes ps for j = 2, ..., k, with the bits of
-    FunctionSpec.value, given f(p) = fp: from the period at the int64 residues
-    r_j = r_{j-1}·(p mod q) mod q (each product is below q², exact in int64),
-    the running product f(p^{j-1})·f(p) of rule, or else the spec's store."""
-    if spec.period is not None:
-        q = spec.period.size
-        r1 = ps % q
-        r = r1
-        for _ in range(2, k + 1):
-            r = r * r1 % q
-            yield spec.period[r]
-        return
-    if spec.powers is not None:  # value() computes f(p) first: store one batch
-        spec.remember_primes(ps)
-    fpj = fp
-    for j in range(2, k + 1):
-        fpj = (fpj * fp if spec.powers is None
-               else np.array([spec.value(p, j) for p in ps.tolist()], dtype=complex))
-        yield fpj
-
-
 def distance_strong(
     f: FunctionSpec,
     g: FunctionSpec,
@@ -235,14 +213,10 @@ def distance_strong(
 
     def terms_of(ps):
         pf = ps.astype(np.float64)
-        fp, gp = prime_values_of(f, ps), prime_values_of(g, ps)
-        fpows, gpows = _powers(f, ps, fp, k), _powers(g, ps, gp, k)
+        ft, gt = f.power_table(ps, k), g.power_table(ps, k)
         # p^{jβ} may overflow to inf, which makes its finite term 0
         with np.errstate(over="ignore"):
-            terms = np.abs(fp - gp) / pf**beta
-            for j in range(2, k + 1):
-                terms += np.abs(next(fpows) - next(gpows)) / pf ** (j * beta)
-        return terms
+            return sum(np.abs(ft[j] - gt[j]) / pf ** (j * beta) for j in range(1, k + 1))
 
     params = {"f": f.name, "g": g.name, "beta": beta, "k": k, "cutoff": cutoff}
     return _series_report("strong-beta-k", params, *prime_sums(
@@ -291,9 +265,7 @@ def _truncated_local_report(
     running = 0.0
     diverged = []
     tail_total = 0.0
-    for p in ps:
-        p = int(p)
-        hs = h.local(p, K)
+    for p, hs in zip(ps.tolist(), h.power_table(ps, K).T.tolist()):
         tk = [_local_term(abs(hs[k]) ** power, p, k * sigma)
               for k in range(k_start, K + 1)]
         inner = float(sum(tk))
@@ -325,7 +297,7 @@ def _truncated_local_report(
             "prime_status": rows,
         }
     )
-    cutoffs = np.asarray([float(p) for p in ps], dtype=np.float64)
+    cutoffs = ps.astype(np.float64)
     partials = np.asarray(partial_list, dtype=np.float64)
     slope = fit_tail_slope(cutoffs, partials)
     if converged:
@@ -355,7 +327,7 @@ def quotient_square_series(
         raise InvalidArgumentError(f"sigma must be > 0, got {sigma}")
     spec = _spec_of(h)
     cutoff = 4.0 ** (1.0 / sigma)
-    ps = sieve_primes(cutoff).tolist() if cutoff >= 2.0 else []
+    ps = sieve_primes(cutoff) if cutoff >= 2.0 else np.empty(0, dtype=np.int64)
     return _truncated_local_report(
         "H-sigma", spec, sigma, ps, truncation, power=2, k_start=0,
         extra_params={"prime_cutoff": cutoff},
@@ -373,7 +345,7 @@ def quotient_abs_series(
     if Y < 2:
         raise InvalidArgumentError(f"Y must be >= 2, got {Y}")
     spec = _spec_of(h)
-    ps = sieve_primes(Y).tolist()
+    ps = sieve_primes(Y)
     return _truncated_local_report(
         "Hhat-Y-sigma", spec, sigma, ps, truncation, power=1, k_start=1,
         extra_params={"Y": Y},

@@ -67,13 +67,13 @@ def random_spec(
             raise InvalidArgumentError("max_exponent must be >= 1")
         vals = np.exp(2j * np.pi * rng.random((primes.size, max_exponent)))
         name = f"rand(gm,seed={seed})"
-        columns = [prime_table(primes, vals[:, j], name) for j in range(max_exponent)]
-        prime_values = columns[0]
+        prime_values = prime_table(primes, vals[:, 0], name)
 
-        def powers(p, k):
+        def powers(p, c, k):
+            # f(p) is in c, so p is tabulated
             if k > max_exponent:
                 raise RuleError(f"{name} is only tabulated for exponents <= {max_exponent}")
-            return columns[k - 1](np.array([p]))[0]
+            return vals[np.searchsorted(primes, p), len(c) - 1 : k].tolist()
     else:
         raise InvalidArgumentError(f"unsupported random spec kind {kind!r}")
 

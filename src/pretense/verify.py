@@ -112,7 +112,7 @@ def _alternating_spec() -> FunctionSpec:
         name="alternating",
         kind=GENERAL_MULTIPLICATIVE,
         prime_values=lambda ps: np.where(ps == 2, -1.0, 1.0).astype(np.complex128),
-        powers=lambda p, k: -1.0 if p == 2 else 1.0,
+        powers=lambda p, c, k: [-1.0 if p == 2 else 1.0] * (k + 1 - len(c)),
         bounded_by_one=True,
     )
 

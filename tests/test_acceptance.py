@@ -222,6 +222,19 @@ def test_partial_sum_modes_bitwise_identical(sieve_1e6):
     want = json_text(distance_classic(f, g, 10**6, sieve=sieve_1e6))
     assert json_text(distance_classic(f, g, 10**6, sieve=sieve_1e6, threads=2)) == want
 
+    # bench/oracles.py and bench/workloads.py read values through rule(p, k)
+    from pretense.degree import degree_d_spec
+    from pretense.dirichlet import dirichlet_inverse, solve_quotient
+    from pretense.randspecs import random_spec
+
+    cm = [random_spec(s, limit=100) for s in (1, 2, 3)]
+    gm = random_spec(4, limit=100, kind="general-multiplicative")
+    for spec in (*cm, gm, solve_quotient(cm[0], gm, (2, 3), 6).spec,
+                 dirichlet_inverse(gm), degree_d_spec(cm)):
+        for p in (2, 3, 5, 97):
+            for k in range(1, 7):
+                assert repr(spec.rule(p, k)) == repr(spec.value(p, k)), (spec.name, p, k)
+
 
 # ---------------------------------------------------------------------------
 # negative controls for the growth checks of criteria 08 and 10, at 1e6

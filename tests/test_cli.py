@@ -381,6 +381,9 @@ def _nested_descriptor(depth: int) -> str:
     ('{"construction":"tabulated","bounded_by_one":true,'
      '"values":[[2,1,0.5,0],[4,1,9,0]]}',
      "'tabulated' row (p=4, k=1) is never read: need a prime p and k >= 1"),
+    ('{"construction":"tabulated","kind":"general-multiplicative","bounded_by_one":true,'
+     '"values":[[2,1,0.5,0],[3,1,1,0],[2,3,9,0]]}',
+     "'tabulated' row (p=2, k=3) is never read: no row (p=2, k=2)"),
     # deeper than the recursion limit of spec_from_descriptor, then of json.loads
     pytest.param(_nested_descriptor(600), "descriptor nested too deeply", id="nested-600"),
     pytest.param(_nested_descriptor(3000), "descriptor nested too deeply", id="nested-3000"),
@@ -401,6 +404,17 @@ def test_deep_config_descriptor_gives_one_error_line(capsys, tmp_path, spec):
     ExperimentConfig({"spec": spec}).dump(path)
     assert main(["sums", "--config", str(path), "--N", "100"]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: descriptor nested too deeply"]
+
+
+@pytest.mark.parametrize("text", [b"garbage", b"[args]\nN\n", b"[args]\nN=1\nN=2\n", b"\xff\xfe"],
+                         ids=["no-section", "no-value", "duplicate", "not-utf8"])
+def test_malformed_config_gives_one_error_line(capsys, tmp_path, text):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(text)
+    assert main(["sums", "--config", str(path), "--N", "100"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: config {path}: ")
 
 
 @pytest.mark.parametrize("cps", ["a,b", "1:2:3", "10,"])

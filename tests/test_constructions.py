@@ -490,6 +490,43 @@ def test_prime_powers_have_one_definition(n, data):
             pk, k = pk * p, k + 1
 
 
+@pytest.mark.parametrize("length", [1, 3, 64, None])
+def test_power_table_is_value_to_the_bit(length):
+    # every zoo spec, on the primes <= 1e3 whole and in slices: a fresh copy's
+    # table (filled from copies of empty stores) and the table read back from
+    # the stores value() filled both hold value()'s bits, or both raise where
+    # value() does (a tabulated spec stops at p^k <= ZOO_LIMIT)
+    ps = build_sieve(1000).primes
+    K = 5
+    for spec in _zoo():
+        for a in range(0, ps.size, length or ps.size):
+            s = ps[a : a + (length or ps.size)]
+            fresh = dataclasses.replace(spec, _cache={})
+            try:
+                want = [[spec.value(p, j) for p in s.tolist()] for j in range(K + 1)]
+            except PretenseError:
+                for t in (fresh, spec):
+                    with pytest.raises(PretenseError):
+                        t.power_table(s, K)
+                continue
+            for got in (fresh.power_table(s, K), spec.power_table(s, K)):
+                assert got.dtype == np.complex128 and got.shape == (K + 1, s.size)
+                assert np.array_equal(got.view(np.uint64), _bits(want)), spec.name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: standard_spec("moebius"),
+    lambda: squarefree_restrict(dirichlet_character(4, 1)),
+    lambda: solve_quotient(dirichlet_character(4, 1), standard_spec("moebius"), (2, 3), 2).spec,
+], ids=["moebius", "sqfree-chi4", "quotient"])
+def test_power_table_keeps_nothing(make):
+    spec = make()
+    before = {p: list(c) for p, c in spec._cache.items()}
+    t = spec.power_table(build_sieve(10**4).primes, 4)
+    assert {p: list(c) for p, c in spec._cache.items()} == before
+    assert t[:, 1].tolist() == [spec.value(3, j) for j in range(5)]
+
+
 @lru_cache(maxsize=None)
 def _real_zoo():
     return tuple(s for s in _zoo() if real_at_prime_powers(s, ZOO_LIMIT))
@@ -545,6 +582,20 @@ def test_tabulated_rows_that_no_query_reads_are_rejected():
         tabulated_spec({(2, 1): 0.5, (4, 1): 9.0}, bounded_by_one=True)
 
 
+@pytest.mark.parametrize("kind", [GENERAL_MULTIPLICATIVE, "tabulated"])
+def test_tabulated_rows_above_an_exponent_gap_are_rejected(kind):
+    # value(p, k) fills f(p^1..k) in order, so a row above a missing (p, k - 1)
+    # would never be read, and a 9 there would pass the unit-disc claim
+    for rows, bad in (({(2, 1): 0.5, (3, 1): 1.0, (2, 3): 9.0}, (2, 3)),
+                      ({(2, 1): 0.5, (3, 2): 0.25}, (3, 2))):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"row \(p={bad[0]}, k={bad[1]}\) is never read: no row "
+                                 rf"\(p={bad[0]}, k={bad[1] - 1}\)"):
+            tabulated_spec(rows, kind=kind, bounded_by_one=True)
+    ok = tabulated_spec({(2, 1): 0.5, (2, 2): 0.25, (2, 3): 0.125}, kind=kind)
+    assert ok.value(2, 3) == 0.125
+
+
 def test_sparse_dyadic_caps_the_exponent():
     with pytest.raises(InvalidArgumentError, match=r"\[0, 5\]"):
         sparse_dyadic(standard_spec("one"), [40])
@@ -558,7 +609,7 @@ def test_descriptor_rejects_anonymous_spec():
 
     anon = FunctionSpec(name="anon", kind=GENERAL_MULTIPLICATIVE,
                         prime_values=lambda ps: np.zeros(ps.shape),
-                        powers=lambda p, k: 0.0)
+                        powers=lambda p, c, k: [0.0] * (k + 1 - len(c)))
     with pytest.raises(InvalidArgumentError):
         spec_descriptor(anon)
 

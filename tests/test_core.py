@@ -350,7 +350,7 @@ def test_a_period_is_checked_and_made_read_only():
     def spec(period, kind=COMPLETELY_MULTIPLICATIVE, bounded=True):
         return FunctionSpec(
             name="p", kind=kind, prime_values=lambda ps: period[ps % period.size],
-            powers=None if kind == COMPLETELY_MULTIPLICATIVE else (lambda p, k: 0.0),
+            powers=None if kind == COMPLETELY_MULTIPLICATIVE else (lambda p, c, k: [0.0]),
             bounded_by_one=bounded, period=period)
 
     real3 = np.array([0, 1, -1], dtype=np.complex128)
@@ -460,9 +460,18 @@ def test_rule_error_wrapping():
         raise KeyError(p)
 
     spec = FunctionSpec(name="bad", kind=GENERAL_MULTIPLICATIVE,
-                        prime_values=lambda ps: bad(ps, 1), powers=bad)
+                        prime_values=lambda ps: bad(ps, 1), powers=lambda p, c, k: bad(p, k))
     with pytest.raises(RuleError):
         spec.value(2, 1)
+    # powers must give one value per exponent asked: a short batch would
+    # otherwise be asked again forever, a long one fill exponents above k
+    for n in (0, 2, 4):
+        short = FunctionSpec(name="short", kind=GENERAL_MULTIPLICATIVE,
+                             prime_values=lambda ps: np.full(ps.shape, 0.5),
+                             powers=lambda p, c, k, n=n: [0.25] * n)
+        with pytest.raises(RuleError, match=rf"\(p=2, k=2\): powers gave {n} values for k=2..4"):
+            short.value(2, 4)
+        assert short.local(2, 1) == [1.0, 0.5]
 
 
 def test_unit_disc_enforcement():
@@ -470,7 +479,7 @@ def test_unit_disc_enforcement():
         name="big",
         kind=GENERAL_MULTIPLICATIVE,
         prime_values=lambda ps: np.full(ps.shape, 2.0),
-        powers=lambda p, k: 2.0,
+        powers=lambda p, c, k: [2.0] * (k + 1 - len(c)),
         bounded_by_one=True,
     )
     with pytest.raises(InvalidArgumentError):
@@ -481,7 +490,7 @@ def test_spec_powers_given_exactly_when_not_completely_multiplicative():
     ones = lambda ps: np.ones(ps.shape)
     with pytest.raises(InvalidArgumentError):
         FunctionSpec(name="cm", kind=COMPLETELY_MULTIPLICATIVE,
-                     prime_values=ones, powers=lambda p, k: 1.0)
+                     prime_values=ones, powers=lambda p, c, k: [1.0])
     with pytest.raises(InvalidArgumentError):
         FunctionSpec(name="gm", kind=GENERAL_MULTIPLICATIVE, prime_values=ones)
     half = FunctionSpec(name="half", kind=COMPLETELY_MULTIPLICATIVE,
@@ -502,9 +511,9 @@ def test_value_runs_the_prime_map_once_per_prime():
     assert type(spec.value(5, 1)) is complex
     assert spec.value(5, 3) == 0.125 and spec.value(7, 2) == 0.25
     assert calls == [[5], [7]]
-    # rule() keeps nothing: each call asks the map again
-    assert spec.rule(5, 1) == 0.5
-    assert calls == [[5], [7], [5]]
+    # rule() is value(): it reads the store and asks the map no more
+    assert spec.rule(5, 1) == 0.5 and spec.rule(5, 4) == 0.0625
+    assert calls == [[5], [7]]
 
     # a value off the unit disc is not stored, so value() checks it again
     big = FunctionSpec(name="big", kind=COMPLETELY_MULTIPLICATIVE,
@@ -518,7 +527,8 @@ def test_value_runs_the_prime_map_once_per_prime():
 def test_value_at_exponent_zero_is_one():
     spec = FunctionSpec(
         name="x", kind=GENERAL_MULTIPLICATIVE,
-        prime_values=lambda ps: np.full(ps.shape, 0.5), powers=lambda p, k: 0.5,
+        prime_values=lambda ps: np.full(ps.shape, 0.5),
+        powers=lambda p, c, k: [0.5] * (k + 1 - len(c)),
     )
     assert spec.value(7, 0) == 1.0
 

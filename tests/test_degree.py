@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pretense.constructions import dirichlet_character, standard_spec
-from pretense.core import build_sieve, evaluate
+from pretense.core import GENERAL_MULTIPLICATIVE, build_sieve, evaluate
 from pretense.degree import (
     MAX_DEGREE,
     alpha_coeffs,
@@ -208,3 +208,14 @@ def test_degree_d_values_match_plain_lists_to_the_bit(seeds):
         want = plain_degree_d([complex(c.rule(p, 1)) for c in members], K)
         got = [f.value(p, k) for k in range(K, -1, -1)][::-1]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_a_perturbed_member_is_read_as_itself_by_the_extension_check():
+    # its values are not its base's constituents', so it has none, and the
+    # check reads its own f(5^2) = 3.5 against tau(5^2) = 3
+    tau = degree_d_spec([standard_spec("one"), standard_spec("one")])
+    bad = perturbed_member(tau, 5, 2, 0.5)
+    rep = degreedist_extension_check(bad, tau, 0.5, 50)
+    assert [(r.p, r.head, r.tail) for r in rep.rows] == [(5, 0.1, 0.0)]
+    assert bad.kind == GENERAL_MULTIPLICATIVE and bad.constituents is None
+    assert bad.degree == 2

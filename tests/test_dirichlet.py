@@ -283,7 +283,7 @@ def test_determinant_bound_flags_hypothesis_violations():
         name="doubling",
         kind=GENERAL_MULTIPLICATIVE,
         prime_values=lambda ps: np.where(ps == 2, 2.0, 0.0),
-        powers=lambda p, k: float(2**k) if p == 2 else 0.0,
+        powers=lambda p, c, k: [float(2**j) if p == 2 else 0.0 for j in range(len(c), k + 1)],
     )
     rep = determinant_bound_check(h, 2, 6, delta=0.0)
     assert rep.hypothesis_violations != ()
@@ -394,8 +394,8 @@ def test_local_recursions_match_plain_lists_to_the_bit(seed):
 
 
 def test_a_gap_in_the_exponents_fails_at_every_higher_one():
-    gap = tabulated_spec({(2, 1): 0.5, (2, 3): 0.125}, name="gap",
-                         kind="general-multiplicative")
+    # a row above the gap, (2, 3), is rejected when the table is built
+    gap = tabulated_spec({(2, 1): 0.5}, name="gap", kind="general-multiplicative")
     for _ in range(2):
         with pytest.raises(RuleError, match=r"\(p=2, k=2\)"):
             gap.value(2, 3)
@@ -413,3 +413,22 @@ def test_a_batch_off_the_unit_disc_stores_nothing():
         with pytest.raises(InvalidArgumentError) as exc:
             big.value(3, 1)
         assert str(exc.value) == "spec 'big' claims |f| <= 1 but |f(3^1)| = 2.0"
+
+
+def _store(spec):
+    return {p: list(c) for p, c in spec._cache.items()}
+
+
+def test_a_replace_copy_of_a_quotient_or_an_inverse_has_its_own_store():
+    # powers read the lower exponents they are handed, not the store of the
+    # spec they were built for, so a copy with a fresh cache fills only its own
+    f, g = random_spec(11, limit=100), random_spec(12, limit=100, kind="general-multiplicative")
+    q = solve_quotient(f, g, (2, 3), 2)
+    inv = dirichlet_inverse(g)
+    inv.value(2, 2)
+    for spec in (q.spec, inv):
+        before = _store(spec)
+        copy = dataclasses.replace(spec, _cache={})
+        got = copy.value(3, 4)
+        assert _store(spec) == before and sorted(copy._cache) == [3]
+        assert repr(got) == repr(spec.value(3, 4))
