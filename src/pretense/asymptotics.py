@@ -328,9 +328,9 @@ def quotient_identity_check(
     g_table: ValueTable,
     h_table: ValueTable,
     s: complex,
-    N: Optional[int] = None,
 ) -> IdentityCheck:
-    """|L_N(s,g) − L_N(s,f) L_N(s,h)| against the combined tail bounds.
+    """|L_N(s,g) − L_N(s,f) L_N(s,h)| against the combined tail bounds, N
+    the smallest of the three table limits.
 
     Tail majorants use each table's observed growth class c (|v(n)| ≤ n^c,
     smallest c in {0,1,2}), and a class-c tail is bounded only for
@@ -341,9 +341,7 @@ def quotient_identity_check(
     s = complex(s)
     if s.real < 2:
         raise InvalidArgumentError(f"Re s must be >= 2, got {s.real}")
-    if N is None:
-        N = min(f_table.limit, g_table.limit, h_table.limit)
-    N = int(N)
+    N = min(f_table.limit, g_table.limit, h_table.limit)
     lf = l_truncation(f_table, s, N)
     lg = l_truncation(g_table, s, N)
     lh = l_truncation(h_table, s, N)

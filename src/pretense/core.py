@@ -143,7 +143,6 @@ class FunctionSpec:
     powers: Optional[Callable[[int, list, int], list]] = None
     bounded_by_one: bool = False
     degree: Optional[int] = None
-    constituents: Optional[tuple] = None
     params: Optional[dict] = None
     period: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -313,9 +312,9 @@ class SieveIndex:
     def power_cofactor(self):
         """int32 arrays (pk, rest) with n = pk[n] * rest[n], pk[n] the full
         power of spf[n] dividing n and rest = cofactor(); both are 1 at n = 0,
-        1.  pk is built on each call and not cached.  Deleted together with
-        spf once evaluation is segmented (ROADMAP item 2), which also changes
-        the benchmark that calls it.
+        1.  pk is built on each call and not cached.  Only bench/ calls it;
+        it goes together with spf once evaluation is segmented (ROADMAP
+        item 6), which also changes that benchmark.
         """
         rest = self.cofactor()
         pk = np.arange(self.limit + 1, dtype=np.int32)
@@ -722,9 +721,10 @@ def mean_square_sum(table: ValueTable, x: float) -> float:
     the chunk sums with math.fsum, so no temporary outgrows a chunk; exact
     whenever the squares and their partial sums are integers below 2^53.
     """
-    m = int(math.floor(x))
-    if m < 1 or m > table.limit:
+    # floor(x) in [1, limit]; NaN and ±inf fail here, not in math.floor
+    if not 1 <= x < table.limit + 1:
         raise OutOfRangeError(f"x={x} outside [1, {table.limit}]")
+    m = math.floor(x)
     return math.fsum(float(np.add.reduce(np.square(v.view(np.float64))))
                      for _, v in value_chunks(table, m))
 

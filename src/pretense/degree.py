@@ -34,6 +34,8 @@ from .errors import InvalidArgumentError
 MAX_DEGREE = 16
 # exponents past the degree that degreedist_extension_check sums as the tail
 EXTENSION_TAIL_TERMS = 40
+# least prime whose ratio degreedist_extension_check counts in sup_ratio
+EXTENSION_P_MIN = 11
 
 
 def q_all(kmax: int, x: Sequence[complex]) -> np.ndarray:
@@ -143,7 +145,6 @@ def degree_d_spec(constituents: Sequence[FunctionSpec]) -> FunctionSpec:
         powers=lambda p, c, k: q_all(k, [x.value(p, 1) for x in cs])[len(c):].tolist(),
         bounded_by_one=(d == 1),
         degree=d,
-        constituents=cs,
         params=params,
     )
 
@@ -193,8 +194,8 @@ def recursion_residual(f: FunctionSpec, p: int, n: int) -> float:
 
 def perturbed_member(f: FunctionSpec, p: int, k: int, eps: complex) -> FunctionSpec:
     """Copy of f with f(p^k) shifted by eps but the same declared degree: a
-    general multiplicative non-member, without f's constituents, used to
-    show the recursion check has teeth."""
+    general multiplicative non-member, used to show the recursion check has
+    teeth."""
     p = int(p)
     k = int(k)
     if k < 1:
@@ -249,15 +250,15 @@ def degreedist_extension_check(
     g: FunctionSpec,
     beta: float,
     cutoff: float,
-    p_min: int = 11,
     sieve: Optional[SieveIndex] = None,
 ) -> ExtensionReport:
     """Tail-vs-head ratios of the local strong-distance sums, per prime.
 
     head = Σ_{n≤d}, tail = Σ_{d<n≤d+EXTENSION_TAIL_TERMS} of |f(p^n)−g(p^n)|/p^{nβ}.
     Primes with head = tail = 0 are skipped; head = 0 with tail > 1e-12 is
-    recorded as a violation.  sup_ratio is over p >= p_min, where constituent
-    size no longer dominates the weights.
+    recorded as a violation.  sup_ratio is over p >= EXTENSION_P_MIN, where
+    constituent size no longer dominates the weights; the report keeps that
+    bound as p_min.
     """
     beta = float(beta)
     if beta <= 0:
@@ -283,12 +284,12 @@ def degreedist_extension_check(
                 continue
             ratio = tail / head
             rows.append(ExtensionRow(p, head, tail, ratio))
-            if p >= p_min and (sup is None or ratio > sup):
+            if p >= EXTENSION_P_MIN and (sup is None or ratio > sup):
                 sup = ratio
     return ExtensionReport(
         beta=beta,
         degree=d,
-        p_min=int(p_min),
+        p_min=EXTENSION_P_MIN,
         rows=tuple(rows),
         sup_ratio=sup,
         violations=tuple(violations),

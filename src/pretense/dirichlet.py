@@ -99,10 +99,6 @@ class QuotientSpec:
     """The multiplicative h with g = f ∗ h, plus its precomputed local table."""
 
     spec: FunctionSpec
-    numerator: str
-    denominator: str
-    primes: tuple
-    max_exponent: int
     local: tuple
 
     def local_series(self, p: int) -> LocalSeries:
@@ -162,14 +158,7 @@ def solve_quotient(
                     f"quotient solve inconsistent at p={p}, k={k}"
                 )
         local.append(LocalSeries(p=p, coeffs=np.array(coeffs, dtype=np.complex128)))
-    return QuotientSpec(
-        spec=spec,
-        numerator=g.name,
-        denominator=f.name,
-        primes=tuple(plist),
-        max_exponent=K,
-        local=tuple(local),
-    )
+    return QuotientSpec(spec=spec, local=tuple(local))
 
 
 def dirichlet_inverse(h: FunctionSpec) -> FunctionSpec:
@@ -200,34 +189,30 @@ def convolve_spec(f: FunctionSpec, h: FunctionSpec) -> FunctionSpec:
     )
 
 
-def convolve_table(ft: ValueTable, ht: ValueTable, limit: Optional[int] = None) -> ValueTable:
-    """Dense (f ∗ h)(n) for n ≤ limit: O(N log N) work in about 2√N numpy steps.
+def convolve_table(ft: ValueTable, ht: ValueTable) -> ValueTable:
+    """Dense (f ∗ h)(n) for n ≤ N, the limit both tables share: O(N log N)
+    work in about 2√N numpy steps.
 
-    Dirichlet's hyperbola split at D = ⌊√limit⌋: each row d ≤ D adds
-    f(d)·h(m) at every n = dm, and each column m ≤ ⌊limit/(D+1)⌋ adds
-    f(d)·h(m) for all d > D at once.  Columns go by descending m, so every
-    out[n] receives its products f(d)·h(n/d) in ascending d, and the bits
-    equal those of the fold over every d ≤ limit.  The table is float64 when
-    both inputs are.
+    Dirichlet's hyperbola split at D = ⌊√N⌋: each row d ≤ D adds f(d)·h(m)
+    at every n = dm, and each column m ≤ ⌊N/(D+1)⌋ adds f(d)·h(m) for all
+    d > D at once.  Columns go by descending m, so every out[n] receives its
+    products f(d)·h(n/d) in ascending d, and the bits equal those of the
+    fold over every d ≤ N.  The table is float64 when both inputs are.
     """
     if ft.limit != ht.limit:
         raise InvalidArgumentError(
             f"mismatched table limits {ft.limit} != {ht.limit}"
         )
-    if limit is None:
-        limit = ft.limit
-    limit = int(limit)
-    if limit < 1 or limit > ft.limit:
-        raise InvalidArgumentError(f"limit {limit} outside [1, {ft.limit}]")
+    N = ft.limit
     fv, hv = ft.values, ht.values
-    out = np.zeros(limit + 1, dtype=np.result_type(fv, hv))
-    D = math.isqrt(limit)
+    out = np.zeros(N + 1, dtype=np.result_type(fv, hv))
+    D = math.isqrt(N)
     for d in range(1, D + 1):
-        out[d::d] += fv[d] * hv[1 : limit // d + 1]
-    for m in range(limit // (D + 1), 0, -1):
-        top = limit // m
+        out[d::d] += fv[d] * hv[1 : N // d + 1]
+    for m in range(N // (D + 1), 0, -1):
+        top = N // m
         out[m * (D + 1) : m * top + 1 : m] += fv[D + 1 : top + 1] * hv[m]
-    return ValueTable(spec=convolve_spec(ft.spec, ht.spec), limit=limit, values=out)
+    return ValueTable(spec=convolve_spec(ft.spec, ht.spec), limit=N, values=out)
 
 
 # ---------------------------------------------------------------------------

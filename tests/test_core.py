@@ -679,6 +679,15 @@ def test_mean_square_sum(sieve_1e4):
     assert mean_square_sum(t, 10.5) == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.5, 1000.0 + 1, 10**400])
+def test_mean_square_sum_outside_the_table_is_out_of_range(sieve_1e4, x):
+    # NaN and ±inf must not reach math.floor, which raises ValueError and
+    # OverflowError on them
+    t = evaluate(standard_spec("liouville"), sieve_1e4, 1000)
+    with pytest.raises(OutOfRangeError, match=r"outside \[1, 1000\]"):
+        mean_square_sum(t, x)
+
+
 def test_table_csv_and_series_roundtrip(sieve_1e4):
     t = evaluate(standard_spec("moebius"), sieve_1e4, 50)
     text = table_csv(t)
@@ -757,6 +766,24 @@ def test_only_the_benchmark_entry_points_take_threads_or_a_summation_mode():
         assert p.kind is inspect.Parameter.KEYWORD_ONLY and p.default is None, name
     assert "ratio" not in sigs["core.geometric_checkpoints"].parameters
     assert "tail_terms" not in sigs["degree.degreedist_extension_check"].parameters
+
+
+def test_no_argument_or_field_that_nothing_reads_comes_back():
+    # each was read by nothing, or set to one value only: a quotient's name
+    # says g/f and its `local` holds each prime and the depth, a degree-d
+    # spec's powers keep their own constituents, N is the smallest table
+    # limit, convolve_table uses the tables' limit, and p_min is
+    # EXTENSION_P_MIN
+    sigs = _public_signatures()
+    gone = {
+        "core.FunctionSpec": {"constituents"},
+        "dirichlet.QuotientSpec": {"numerator", "denominator", "primes", "max_exponent"},
+        "dirichlet.convolve_table": {"limit"},
+        "asymptotics.quotient_identity_check": {"N"},
+        "degree.degreedist_extension_check": {"p_min"},
+    }
+    for name, params in gone.items():
+        assert not params & set(sigs[name].parameters), name
 
 
 # ---------------------------------------------------------------------------

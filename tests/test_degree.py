@@ -157,7 +157,7 @@ def test_extension_check_on_character_pair(sieve_1e4):
 def test_extension_check_bounded_for_random_pairs(sieve_1e4):
     f = degree_d_spec([random_spec(71, limit=10**4), random_spec(72, limit=10**4)])
     g = degree_d_spec([random_spec(73, limit=10**4), random_spec(74, limit=10**4)])
-    rep = degreedist_extension_check(f, g, 0.5, 10**4, p_min=11, sieve=sieve_1e4)
+    rep = degreedist_extension_check(f, g, 0.5, 10**4, sieve=sieve_1e4)
     assert np.isfinite(rep.sup_ratio)
     assert rep.degree == 2 and rep.p_min == 11
 
@@ -211,11 +211,10 @@ def test_degree_d_values_match_plain_lists_to_the_bit(seeds):
 
 
 def test_a_perturbed_member_is_read_as_itself_by_the_extension_check():
-    # its values are not its base's constituents', so it has none, and the
-    # check reads its own f(5^2) = 3.5 against tau(5^2) = 3
+    # the check reads its own f(5^2) = 3.5 against tau(5^2) = 3
     tau = degree_d_spec([standard_spec("one"), standard_spec("one")])
     bad = perturbed_member(tau, 5, 2, 0.5)
     rep = degreedist_extension_check(bad, tau, 0.5, 50)
     assert [(r.p, r.head, r.tail) for r in rep.rows] == [(5, 0.1, 0.0)]
-    assert bad.kind == GENERAL_MULTIPLICATIVE and bad.constituents is None
+    assert bad.kind == GENERAL_MULTIPLICATIVE
     assert bad.degree == 2

@@ -136,13 +136,13 @@ def test_convolve_table_is_the_divisor_fold_to_the_bit(table_limit, seed, kind, 
     sv = build_sieve(max(table_limit, 2))
     f = random_spec(2 * seed, limit=max(table_limit, 2), kind=kind)
     h = random_spec(2 * seed + 1, limit=max(table_limit, 2), kind=kind)
-    ft, ht = evaluate(f, sv, table_limit), evaluate(h, sv, table_limit)
     limit = data.draw(st.one_of(
         st.just(table_limit),
         st.integers(min_value=1, max_value=table_limit),
         _near_squares(math.isqrt(table_limit)).filter(lambda n: n <= table_limit),
     ))
-    got = convolve_table(ft, ht, limit).values
+    ft, ht = evaluate(f, sv, limit), evaluate(h, sv, limit)
+    got = convolve_table(ft, ht).values
     assert got.tobytes() == divisor_fold(ft.values, ht.values, limit).tobytes()
 
 
